@@ -19,7 +19,7 @@ assert on the result:
 Design target (the tentpole's acceptance bar): >= 3x iterations/s on at
 least half the bench models at 64 lanes, and **no model below 1.0x** —
 the kernel exists precisely so that turning lanes up never loses to the
-scalar engine (the numpy batched engine regressed EVCS to 0.96x).
+scalar engine.
 
 Usage::
 

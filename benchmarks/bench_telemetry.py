@@ -22,9 +22,9 @@ assert on the result:
   backend (``lanes=8``, ``kernel_threads=2``) with the FULL
   observability stack enabled (trace + stats + span events + a live
   metrics server being scraped): overhead stays within budget and the
-  off/on suites are byte-identical to each other.  Self-gating: when no
-  native kernel or numpy batch backend is available the section reports
-  itself skipped instead of failing.
+  off/on suites are byte-identical to each other.  Self-gating: when the
+  native kernel is not available the section reports itself skipped
+  instead of failing.
 
 Usage::
 
@@ -172,7 +172,7 @@ def bench_kernel(schedule, pairs=RATE_PAIRS, max_inputs=RATE_INPUTS):
     scalar golden table doesn't apply: lanes>1 legitimately schedules the
     corpus differently), so the guarantee is exactly "observability never
     perturbs the suite".  Returns ``None`` when only the scalar engine is
-    available (no C compiler and no numpy) — the caller reports a skip.
+    available (no C compiler or no numpy) — the caller reports a skip.
     """
     probe = Fuzzer(schedule, _kernel_config(7, 1), telemetry=Telemetry(enabled=False))
     if probe.engine == "scalar":

@@ -436,10 +436,10 @@ def main(argv=None) -> int:
         type=_lanes_arg,
         default=1,
         metavar="N",
-        help="lane-parallel execution: step N inputs in lockstep through "
-        "the native kernel (max 256) or vectorized generated code "
-        "(needs numpy, max 64); 'auto' picks per model; default 1 = "
-        "the scalar engine",
+        help="lane-parallel execution: step N inputs per call through "
+        "the native kernel (max 256; needs a C compiler and numpy, "
+        "else the campaign runs scalar); 'auto' = 64 unless "
+        "--kernel off; default 1 = the scalar engine",
     )
     p.add_argument(
         "--kernel",
@@ -447,8 +447,8 @@ def main(argv=None) -> int:
         default="auto",
         help="fused native kernel backend: 'auto' uses it whenever lanes>1 "
         "and a C compiler is available, 'on' requests it even at one "
-        "lane, 'off' disables it; every fallback to the numpy or "
-        "scalar engine is reported via fault telemetry (default auto)",
+        "lane, 'off' disables it; every fallback to the scalar engine "
+        "is reported via fault telemetry (default auto)",
     )
     p.add_argument(
         "--kernel-threads",

@@ -16,14 +16,6 @@ Algorithm 1; :func:`compile_model` / :func:`compile_driver` turn sources
 into callables.
 """
 
-from .batch import (
-    MAX_LANES,
-    BatchCoverageRecorder,
-    batch_runtime_globals,
-    compile_batch_fuzz_driver,
-    have_numpy,
-    vectorize_module,
-)
 from .cache import CODEGEN_VERSION, CompileCache, cache_key, canonical_model_form
 from .compile import CompiledModel, compile_model
 from .driver import compile_fuzz_driver, generate_fuzz_driver
@@ -33,22 +25,16 @@ from .runtime import runtime_globals
 
 __all__ = [
     "CODEGEN_VERSION",
-    "MAX_LANES",
-    "BatchCoverageRecorder",
     "CompileCache",
     "CompiledModel",
-    "batch_runtime_globals",
     "cache_key",
     "canonical_model_form",
-    "compile_batch_fuzz_driver",
     "compile_fuzz_driver",
     "compile_model",
     "generate_fuzz_driver",
     "generate_model_code",
-    "have_numpy",
     "optimize_module",
     "optimize_source",
     "runtime_globals",
     "step_arg_kinds",
-    "vectorize_module",
 ]

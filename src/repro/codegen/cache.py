@@ -137,12 +137,10 @@ def cache_key(
     model,
     level: str,
     optimize: bool,
-    batch: bool = False,
     kernel: bool = False,
 ) -> str:
     """SHA-256 key for one (model, level, optimize, backend, generator)
-    variant — ``batch`` and ``kernel`` select the vectorized and native
-    backends respectively.
+    variant — ``kernel`` selects the native backend's slot.
 
     Raises :class:`Uncacheable` for models whose parameters cannot be
     serialized deterministically.
@@ -152,7 +150,6 @@ def cache_key(
             canonical_model_form(model),
             "level=%s" % level,
             "optimize=%d" % bool(optimize),
-            "batch=%d" % bool(batch),
             "kernel=%d" % bool(kernel),
             "codegen=%s" % CODEGEN_VERSION,
         )

@@ -42,7 +42,6 @@ class CompiledModel:
         cls,
         optimized: bool = False,
         from_cache: Optional[str] = None,
-        batch: bool = False,
     ):
         self.schedule = schedule
         self.level = level
@@ -52,8 +51,6 @@ class CompiledModel:
         self.optimized = optimized
         #: ``None`` (fresh compile), ``"memory"`` or ``"disk"``
         self.from_cache = from_cache
-        #: whether this is the lane-parallel (vectorized) variant
-        self.batch = batch
 
     @property
     def branch_db(self):
@@ -71,59 +68,23 @@ class CompiledModel:
         """
         if recorder is None:
             recorder = CoverageRecorder(self.branch_db)
-        if self.batch:
-            raise CodegenError(
-                "batch-compiled model: use instantiate_batch(lanes)"
-            )
         program = self._cls(recorder.curr, recorder.record_mcdc)
         program.init()
         return program, recorder
 
-    def instantiate_batch(self, lanes: int, recorder=None, record_mcdc=False):
-        """A fresh lane-parallel program over a batch coverage recorder.
 
-        Returns ``(program, recorder)``; probe writes set lane bits in
-        ``recorder.curr`` (one uint64 bitset per probe).
-        """
-        from .batch import BatchCoverageRecorder
-
-        if not self.batch:
-            raise CodegenError(
-                "scalar-compiled model: recompile with batch=True first"
-            )
-        if recorder is None:
-            recorder = BatchCoverageRecorder(
-                self.branch_db, lanes, record_mcdc=record_mcdc
-            )
-        program = self._cls(recorder.curr, recorder, lanes=lanes)
-        program.init()
-        return program, recorder
-
-
-def _generate_source(
-    schedule: Schedule, level: str, optimize: bool, batch: bool = False
-) -> str:
+def _generate_source(schedule: Schedule, level: str, optimize: bool) -> str:
     tel = get_telemetry()
     with tel.phase("codegen"):
         source = generate_model_code(schedule, level)
     if optimize:
         with tel.phase("optimize"):
             source = optimize_module(source, step_arg_kinds(schedule))
-    if batch:
-        from .batch import vectorize_module
-
-        with tel.phase("vectorize"):
-            source = vectorize_module(source)
     return source
 
 
-def _exec_module(source, code, schedule: Schedule, batch: bool = False):
-    if batch:
-        from .batch import batch_runtime_globals
-
-        env = batch_runtime_globals()
-    else:
-        env = runtime_globals()
+def _exec_module(source, code, schedule: Schedule):
+    env = runtime_globals()
     try:
         if code is None:
             code = compile(source, "<generated:%s>" % schedule.model.name, "exec")
@@ -140,14 +101,12 @@ def compile_model(
     level: str = "model",
     optimize: bool = True,
     cache: bool = True,
-    batch: bool = False,
 ) -> CompiledModel:
     """Generate and compile the model's code at an instrumentation level.
 
     ``optimize`` runs the audited AST optimizer over the generated module;
     ``cache`` consults the persistent compile cache first (silently skipped
-    when the cache is disabled or the model is uncacheable); ``batch``
-    produces the lane-parallel vectorized variant (its own cache slot).
+    when the cache is disabled or the model is uncacheable).
     """
     tel = get_telemetry()
     store = default_cache() if cache else None
@@ -155,7 +114,7 @@ def compile_model(
     uncacheable = False
     if store is not None:
         try:
-            key = cache_key(schedule.model, level, optimize, batch)
+            key = cache_key(schedule.model, level, optimize)
         except Uncacheable:
             store = None
             uncacheable = True
@@ -173,14 +132,13 @@ def compile_model(
                 cls,
                 optimized=optimize,
                 from_cache="memory",
-                batch=batch,
             )
         disk = store.get_disk(key)
         if disk is not None:
             source, code = disk
             try:
                 with tel.phase("compile"):
-                    _, cls = _exec_module(source, code, schedule, batch)
+                    _, cls = _exec_module(source, code, schedule)
             except Exception as exc:
                 # bytecode that unmarshalled but won't execute: poison —
                 # quarantine the entry, then recompile from scratch (the
@@ -198,7 +156,6 @@ def compile_model(
                     cls,
                     optimized=optimize,
                     from_cache="disk",
-                    batch=batch,
                 )
 
     if tel.enabled and cache:
@@ -207,12 +164,10 @@ def compile_model(
             tier="uncacheable" if uncacheable else "miss",
             level=level,
         )
-    source = _generate_source(schedule, level, optimize, batch)
+    source = _generate_source(schedule, level, optimize)
     with tel.phase("compile"):
-        code, cls = _exec_module(source, None, schedule, batch)
+        code, cls = _exec_module(source, None, schedule)
     if store is not None and key is not None:
         store.put_disk(key, source, code)
         store.put_memory(key, source, cls)
-    return CompiledModel(
-        schedule, level, source, cls, optimized=optimize, batch=batch
-    )
+    return CompiledModel(schedule, level, source, cls, optimized=optimize)

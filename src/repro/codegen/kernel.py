@@ -1,30 +1,32 @@
-"""Fused native kernel backend for the batched lane-parallel engine.
+"""Fused native kernel backend: the lane-parallel execution engine.
 
-The third codegen backend (after the scalar module and the numpy
-vectorizer): the *scalar optimized* generated module is lowered to one C
-translation unit whose ``lane_step`` runs a whole model iteration for one
-lane — real branches instead of masked selects, probe writes as byte
-stores, watchdog ticks and the ``safe_div``/``safe_mod`` totality
-semantics inlined — and ``kern_run`` fuses the entire per-input fuzz loop
-(unpack → step → coverage delta accounting) into a single native call
-per batch.  Where the numpy engine pays ~0.4 µs of ufunc dispatch per
-vector op per step, the kernel pays one ctypes crossing per *batch*.
+The second codegen backend (after the scalar module): the *scalar
+optimized* generated module is lowered to one C translation unit whose
+``lane_step`` runs a whole model iteration for one lane — real branches,
+probe writes as byte stores, watchdog ticks and the
+``safe_div``/``safe_mod`` totality semantics inlined — and ``kern_run``
+fuses the entire per-input fuzz loop (unpack → step → coverage delta
+accounting) into a single native call per batch.  Where the scalar
+engine pays one Python ``step`` call per tuple, the kernel pays one
+ctypes crossing per *batch*.
 
 Semantics contract: a lane must behave bit-for-bit like the scalar
-driver running the same byte stream (the same contract the vectorizer
-honours, gated by the same lane-by-lane differential sweep).  Two
-deliberate exceptions, both inherited from the batch engine:
+driver running the same byte stream, gated by the lane-by-lane
+differential sweep in ``tests/modelgen.py``.  Two deliberate
+exceptions:
 
-* ``_w_single`` saturates finite float32 overflow to ``inf`` instead of
-  raising ``OverflowError`` (garbage-lane forgiveness — see
-  ``repro.codegen.batch._b_w_single``);
-* MCDC truth vectors are not recorded (the batch hot path also
-  instantiates with ``record_mcdc=False``); campaigns that need MCDC
-  stay on the scalar or batch paths.
+* ``_w_single`` saturates finite float32 overflow to ``inf`` where the
+  scalar runtime raises ``OverflowError`` — the one known kernel/scalar
+  divergence (ROADMAP item 4c), unreached by the differential sweep;
+* MCDC truth vectors are not recorded; campaigns that need MCDC stay on
+  the scalar path (replay always runs scalar).
 
 Models using constructs the lowering cannot prove bit-exact raise
-:class:`Unloweable`; the engine catches it and degrades to the numpy
-batch engine (then scalar), loudly, via a ``fault`` telemetry event.
+:class:`Unloweable`; the engine catches it and degrades to the scalar
+engine, loudly, via a ``fault`` telemetry event.
+
+numpy is a soft dependency: importing this module without it is fine,
+but building a kernel fuzz driver raises :class:`KernelBuildError`.
 
 Bit-exactness notes baked into the emitter:
 
@@ -59,6 +61,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
+try:  # soft dependency: the scalar engine must keep working without numpy
+    import numpy as _np
+except ImportError:  # pragma: no cover - image always ships numpy
+    _np = None
+
 from ..errors import CodegenError
 from ..faults.plan import should_fire as _should_fire
 from ..faults.watchdog import WATCHDOG, WatchdogTimeout
@@ -72,6 +79,7 @@ __all__ = [
     "KernelBuildError",
     "find_cc",
     "have_cc",
+    "have_numpy",
     "lower_kernel_source",
     "compile_kernel",
     "compile_kernel_fuzz_driver",
@@ -85,15 +93,14 @@ __all__ = [
 #: execute as zero-copy views over one shared column array.
 KERNEL_ABI_VERSION = 2
 
-#: per-model lane capacity of the native kernel.  Independent of the
-#: numpy vectorizer's ``MAX_LANES`` (uint64 bitset width): the kernel's
-#: per-lane state is plain arrays, so lanes are cheap.
+#: per-model lane capacity of the native kernel: per-lane state is
+#: plain arrays, so lanes are cheap.
 MAX_KERNEL_LANES = 256
 
 
 class Unloweable(CodegenError):
     """The generated module uses a construct the C lowering cannot prove
-    bit-exact; callers degrade to the numpy batch engine."""
+    bit-exact; callers degrade to the scalar engine."""
 
 
 class KernelBuildError(CodegenError):
@@ -119,6 +126,11 @@ def find_cc() -> Optional[str]:
 
 def have_cc() -> bool:
     return find_cc() is not None
+
+
+def have_numpy() -> bool:
+    """Whether the kernel driver can marshal inputs (numpy importable)."""
+    return _np is not None
 
 
 # --------------------------------------------------------------------- #
@@ -973,7 +985,7 @@ class _Lowering:
             return oc, ot
         if dtype_name == "single":
             # float(value) then a float32 round-trip; finite overflow
-            # saturates to inf (batch-engine semantics, see module doc)
+            # saturates to inf where scalar raises (see module doc)
             da, _ = self._as_double(oc, ot)
             return "((double)(float)%s)" % da, _td(129)
         spec = _WRAP_DTYPES.get(dtype_name)
@@ -2058,9 +2070,7 @@ class KernelProgram:
         reset/arm first.  The threaded engine goes through
         :meth:`run_async` instead.
         """
-        from . import batch as _b
-
-        np = _b._np
+        np = _np
         iters_arr = np.ascontiguousarray(iters, dtype=np.int64)
         metric = np.zeros(n, dtype=np.int64)
         done = np.zeros(n, dtype=np.int64)
@@ -2121,9 +2131,7 @@ class KernelProgram:
         arming keeps the scalar engine's per-batch semantics.  Output
         lane order is the input lane order regardless of partition.
         """
-        from . import batch as _b
-
-        np = _b._np
+        np = _np
         iters_arr = np.ascontiguousarray(iters, dtype=np.int64)
         metric = np.zeros(n, dtype=np.int64)
         done = np.zeros(n, dtype=np.int64)
@@ -2162,9 +2170,7 @@ class KernelProgram:
         value planes.  Returns ``(cov_rows, iouts, douts, status)`` where
         status is 0 = stepped, 1 = watchdog timeout, 2 = inactive lane.
         """
-        from . import batch as _b
-
-        np = _b._np
+        np = _np
         n = len(act)
         act_arr = np.ascontiguousarray(act, dtype=np.uint8)
         fv = np.ascontiguousarray(fvals, dtype=np.float64)
@@ -2255,7 +2261,7 @@ def clear_kernel_memory() -> None:
 def _scalar_source(schedule, level: str, optimize: bool) -> str:
     from .compile import _generate_source
 
-    return _generate_source(schedule, level, optimize, batch=False)
+    return _generate_source(schedule, level, optimize)
 
 
 def compile_kernel(
@@ -2269,7 +2275,7 @@ def compile_kernel(
     Raises :class:`Unloweable` when the generated module uses constructs
     the C lowering cannot prove bit-exact, and :class:`KernelBuildError`
     when no C compiler is available or the build fails; callers degrade
-    to the numpy batch engine (and then scalar) on either.
+    to the scalar engine on either.
     """
     tel = get_telemetry()
     store = default_cache() if cache else None
@@ -2378,19 +2384,38 @@ def compile_kernel(
 # --------------------------------------------------------------------- #
 # the kernel fuzz driver
 # --------------------------------------------------------------------- #
+#: little-endian numpy field formats of the inport dtypes (the packed
+#: tuple layout of :class:`repro.parser.inport_info.TupleLayout`)
+_NP_FMT = {
+    "int8": "<i1",
+    "int16": "<i2",
+    "int32": "<i4",
+    "uint8": "<u1",
+    "uint16": "<u2",
+    "uint32": "<u4",
+    "boolean": "u1",
+    "single": "<f4",
+    "double": "<f8",
+}
+
+
 def compile_kernel_fuzz_driver(schedule):
     """Build ``fuzz_test_kernel(program, cov, batch, total_int)``.
 
-    Call-compatible with the batch driver (``cov`` is accepted and
-    ignored — the kernel owns its probe buffers): ``batch`` is a list of
-    byte streams, the return value is one ``(metric, found_new,
-    total_int, iterations, timeout_exc)`` tuple per stream with the
-    scalar engine's sequential accounting.
-    """
-    from . import batch as _b
+    ``cov`` is accepted and ignored — the kernel owns its probe buffers;
+    ``batch`` is a list of byte streams, the return value is one
+    ``(metric, found_new, total_int, iterations, timeout_exc)`` tuple per
+    stream with the scalar engine's sequential accounting.  The
+    ``start``/``finish`` attributes split the call into an asynchronous
+    dispatch and a sequential fold.
 
-    _b._require_numpy()
-    np = _b._np
+    Raises :class:`KernelBuildError` when numpy is not importable.
+    """
+    if _np is None:
+        raise KernelBuildError(
+            "kernel backend requires numpy for input marshalling"
+        )
+    np = _np
     layout = schedule.layout
     n_probes = schedule.branch_db.n_probes
     tuple_size = layout.size
@@ -2399,7 +2424,7 @@ def compile_kernel_fuzz_driver(schedule):
     rec_dtype = np.dtype(
         {
             "names": [f.name for f in fields],
-            "formats": [_b._NP_FMT[f.dtype.name] for f in fields],
+            "formats": [_NP_FMT[f.dtype.name] for f in fields],
             "offsets": [f.offset for f in fields],
             "itemsize": tuple_size,
         }

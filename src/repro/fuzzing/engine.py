@@ -51,6 +51,10 @@ _PLATEAU_SECONDS = 2.0
 #: between ticks, keeping the enabled hot path within the overhead budget
 _TICK_SECONDS = 0.1
 
+#: what ``lanes="auto"`` resolves to on the kernel: the width every
+#: kernel speedup in EXPERIMENTS.md was measured at
+_AUTO_LANES = 64
+
 
 @dataclass
 class FuzzerConfig:
@@ -89,24 +93,21 @@ class FuzzerConfig:
     worker_timeout: float = 30.0
     #: parallel supervision: respawn budget per worker slot per campaign
     max_respawns: int = 3
-    #: lane-parallel batched execution: step this many inputs in lockstep
-    #: through the vectorized generated code (needs numpy; max 64, or 256
-    #: on the native kernel backend).  The default of 1 keeps the scalar
-    #: engine — byte-identical suites with zero new dependencies; >1
-    #: trades per-input sequencing granularity for throughput (suites may
-    #: differ from the scalar engine only in corpus-scheduling order,
-    #: never in per-input semantics).  ``"auto"`` picks per model: the
-    #: native kernel at 64 lanes when a C compiler is available, else the
-    #: vectorized engine — unless its op census predicts it would lose to
-    #: scalar (see :func:`repro.codegen.batch.predict_batch_speedup`), in
-    #: which case the scalar engine is kept
+    #: lane-parallel execution on the fused native kernel: step this many
+    #: inputs per native call (max 256; needs a C compiler and numpy).
+    #: The default of 1 keeps the scalar engine — byte-identical suites
+    #: with zero new dependencies; >1 trades per-input sequencing
+    #: granularity for throughput (suites may differ from the scalar
+    #: engine only in corpus-scheduling order, never in per-input
+    #: semantics).  ``"auto"`` means 64 lanes unless ``kernel="off"``.
+    #: A kernel that cannot be built leaves the campaign on scalar.
     lanes: object = 1
     #: native kernel backend policy: ``"auto"`` uses the fused C kernel
-    #: whenever lanes > 1 and it is buildable, degrading to the numpy
-    #: batch engine and then scalar (each fallback emits a ``fault``
-    #: telemetry event, never silent); ``"on"`` requests it even at
-    #: ``lanes=1`` (bit-identical to scalar, used by the parity gates);
-    #: ``"off"`` never builds it
+    #: whenever lanes > 1, falling back to the scalar engine when it
+    #: cannot be built (one ``engine_fallback`` fault telemetry event,
+    #: never silent); ``"on"`` requests it even at ``lanes=1``
+    #: (bit-identical to scalar, used by the parity gates); ``"off"``
+    #: never builds it and runs scalar
     kernel: str = "auto"
     #: kernel execution threads per worker: disjoint lane blocks run
     #: concurrently, each on its own C state struct (ctypes releases the
@@ -216,15 +217,14 @@ class Fuzzer:
             self._replay_compiled = replay_compiled
             with tel.phase("compile"):
                 self.driver = compile_fuzz_driver(schedule)
-        #: batched execution artifacts — populated by :meth:`_setup_batch`
-        #: / :meth:`_setup_kernel` (scalar stays the authoritative path)
-        self._batch_compiled: Optional[CompiledModel] = None
-        self._batch_driver = None
-        self._batch_lanes = 1
+        #: native kernel artifacts — populated by :meth:`_setup_kernel`
+        #: (scalar stays the authoritative path)
         self._kernel_compiled = None
+        self._kernel_driver = None
+        self._kernel_lanes = 1
         self._kernel_threads = 1
-        #: which execution backend resume() will use: "scalar", "batch"
-        #: or "kernel" — resolved once here, fallbacks included
+        #: which execution backend resume() will use: "scalar" or
+        #: "kernel" — resolved once here, fallbacks included
         self.engine = "scalar"
         self._setup_engines()
         self.layout = schedule.layout
@@ -232,50 +232,15 @@ class Fuzzer:
         #: ``config.crash_dir`` is set, in-memory otherwise)
         self.crash_store = CrashStore(self.config.crash_dir)
 
-    def _setup_batch(self, lanes: int) -> None:
-        """Compile the lane-parallel variant and its batched fuzz driver.
-
-        Called from ``__init__`` for ``config.lanes > 1``; tests call it
-        directly with ``lanes=1`` to prove the batched path reproduces the
-        scalar engine's suites byte-for-byte.
-        """
-        from ..codegen import batch as _batch
-
-        if not 1 <= lanes <= _batch.MAX_LANES:
-            raise FuzzingError(
-                "config.lanes must be in 1..%d, got %r"
-                % (_batch.MAX_LANES, lanes)
-            )
-        if not _batch.have_numpy():
-            raise FuzzingError(
-                "config.lanes > 1 requires numpy for the vectorized engine"
-            )
-        with telemetry_scope(self.telemetry):
-            self._batch_compiled = compile_model(
-                self.schedule, self.config.level, batch=True
-            )
-            with self.telemetry.phase("compile"):
-                self._batch_driver = _batch.compile_batch_fuzz_driver(
-                    self.schedule
-                )
-        self._batch_lanes = lanes
-        self.engine = "batch"
-
     def _setup_kernel(self, lanes: int) -> None:
         """Build the fused native kernel and its fuzz driver.
 
-        Raises ``Unloweable``/``KernelBuildError`` (no C compiler, build
-        failure, un-loweable construct); :meth:`_setup_engines` catches
-        those and degrades down the ladder.
+        Raises ``Unloweable``/``KernelBuildError`` (no numpy, no C
+        compiler, build failure, un-loweable construct);
+        :meth:`_setup_engines` catches those and falls back to scalar.
         """
-        from ..codegen import batch as _batch
         from ..codegen import kernel as _kernel
 
-        if not 1 <= lanes <= _kernel.MAX_KERNEL_LANES:
-            raise FuzzingError(
-                "config.lanes must be in 1..%d on the kernel backend, got %r"
-                % (_kernel.MAX_KERNEL_LANES, lanes)
-            )
         kt = self.config.kernel_threads
         if not (
             kt in ("auto", None)
@@ -287,7 +252,7 @@ class Fuzzer:
                 "config.kernel_threads must be a positive int or 'auto', "
                 "got %r" % (kt,)
             )
-        if not _batch.have_numpy():
+        if not _kernel.have_numpy():
             # the kernel driver marshals byte streams through numpy
             raise _kernel.KernelBuildError(
                 "kernel backend requires numpy for input marshalling"
@@ -301,10 +266,10 @@ class Fuzzer:
                 self.schedule, self.config.level
             )
             with self.telemetry.phase("compile"):
-                self._batch_driver = _kernel.compile_kernel_fuzz_driver(
+                self._kernel_driver = _kernel.compile_kernel_fuzz_driver(
                     self.schedule
                 )
-        self._batch_lanes = lanes
+        self._kernel_lanes = lanes
         self._kernel_threads = resolve_kernel_threads(
             kt, workers=self.config.workers, lanes=lanes
         )
@@ -323,45 +288,14 @@ class Fuzzer:
                 model=self.schedule.model.name,
             )
 
-    def _auto_lanes(self, kernel_mode: str) -> int:
-        """Resolve ``lanes="auto"``: pick the engine that cannot lose.
-
-        The kernel beats scalar by >3x on every benchmarked model, so a
-        working C toolchain means 64 lanes.  Without one, the vectorized
-        engine only wins when its op census predicts >=1x (EVCS-class
-        models expand into enough masked-select dispatches to regress);
-        predicted losers stay on the scalar engine.
-        """
-        from ..codegen import batch as _batch
-        from ..codegen import kernel as _kernel
-        from ..codegen.compile import _generate_source
-
-        if kernel_mode != "off" and _kernel.have_cc() and _batch.have_numpy():
-            return _batch.MAX_LANES
-        if not _batch.have_numpy():
-            return 1
-        with telemetry_scope(self.telemetry):
-            ssrc = _generate_source(self.schedule, self.config.level, True, False)
-            bsrc = _generate_source(self.schedule, self.config.level, True, True)
-        predicted = _batch.predict_batch_speedup(ssrc, bsrc)
-        if predicted < 1.0:
-            self._engine_fault(
-                "batch",
-                "scalar",
-                "lanes=auto: census predicts %.2fx <1x over scalar" % predicted,
-            )
-            return 1
-        return _batch.MAX_LANES
-
     def _setup_engines(self) -> None:
         """Resolve config (lanes, kernel) into one execution backend.
 
-        Degradation ladder: kernel -> numpy batch -> scalar.  Every step
-        down emits an ``engine_fallback`` fault event; an explicit
-        ``kernel="on"`` or ``lanes`` that can't be honored degrades the
-        same way rather than failing the campaign.
+        Fallback ladder: kernel -> scalar.  A kernel that cannot be built
+        (no numpy, no C compiler, build failure, un-loweable model)
+        emits one ``engine_fallback`` fault event and leaves the
+        campaign on scalar rather than failing it.
         """
-        from ..codegen import batch as _batch
         from ..codegen import kernel as _kernel
 
         config = self.config
@@ -372,9 +306,8 @@ class Fuzzer:
                 % (kernel_mode,)
             )
         lanes = config.lanes
-        auto = lanes == "auto"
-        if auto:
-            lanes = self._auto_lanes(kernel_mode)
+        if lanes == "auto":
+            lanes = 1 if kernel_mode == "off" else _AUTO_LANES
         if not isinstance(lanes, int) or isinstance(lanes, bool) or lanes < 1:
             raise FuzzingError(
                 "config.lanes must be a positive int or 'auto', got %r"
@@ -385,30 +318,11 @@ class Fuzzer:
                 "config.lanes must be <= %d, got %r"
                 % (_kernel.MAX_KERNEL_LANES, lanes)
             )
-        want_kernel = kernel_mode == "on" or (kernel_mode != "off" and lanes > 1)
-        if want_kernel:
+        if kernel_mode == "on" or (kernel_mode == "auto" and lanes > 1):
             try:
                 self._setup_kernel(lanes)
-                return
             except (_kernel.Unloweable, _kernel.KernelBuildError) as exc:
-                next_to = "batch" if lanes > 1 else "scalar"
-                self._engine_fault("kernel", next_to, str(exc))
-        if lanes == 1:
-            return  # scalar — engine stays "scalar"
-        if lanes > _batch.MAX_LANES:
-            # a kernel-sized lane count degrading onto the 64-bit bitset
-            self._engine_fault(
-                "batch",
-                "batch",
-                "lanes=%d exceeds the vectorized engine's %d-lane bitset; "
-                "clamped" % (lanes, _batch.MAX_LANES),
-            )
-            lanes = _batch.MAX_LANES
-        try:
-            self._setup_batch(lanes)
-        except FuzzingError as exc:
-            # no numpy: the ladder ends on the scalar engine
-            self._engine_fault("batch", "scalar", str(exc))
+                self._engine_fault("kernel", "scalar", str(exc))
 
     def replay_compiled(self) -> CompiledModel:
         """The cached model-level artifact used for suite replay.
@@ -488,17 +402,15 @@ class Fuzzer:
         suite = state.suite
         timeline = state.timeline
         recorder = CoverageRecorder(self.schedule.branch_db)
-        bdriver = self._batch_driver
-        lanes = self._batch_lanes if bdriver is not None else 1
-        if bdriver is None:
+        kdriver = self._kernel_driver
+        lanes = self._kernel_lanes
+        if kdriver is None:
             program, _ = self.compiled.instantiate(recorder)
-        elif self.engine == "kernel":
-            bprogram = self._kernel_compiled.instantiate_kernel(
+        else:
+            # coverage lives inside the native kernel
+            kprogram = self._kernel_compiled.instantiate_kernel(
                 lanes, self._kernel_threads
             )
-            brecorder = None  # coverage lives inside the native kernel
-        else:
-            bprogram, brecorder = self._batch_compiled.instantiate_batch(lanes)
         driver = self.driver
         crash_store = self.crash_store
         # the generated driver re-arms the budget per input (_wd_arm);
@@ -714,7 +626,7 @@ class Fuzzer:
                 )
 
         def absorb_timeout(data: bytes, total_after: int, iters, exc) -> None:
-            """Account one watchdog-aborted input (scalar or batched lane).
+            """Account one watchdog-aborted input (scalar or kernel lane).
 
             Probes the input covered *before* the abort are real coverage:
             they are folded into the campaign bitmap instead of being
@@ -803,7 +715,7 @@ class Fuzzer:
             absorb(data, parent_density, ops, metric, found_new, total_int, iters)
 
         def absorb_results(items, results) -> None:
-            """Absorb one executed batch lane by lane, in list order."""
+            """Absorb one executed kernel batch lane by lane, in list order."""
             for (data, parent_density, ops), res in zip(items, results):
                 metric, found_new, total_int, iters, texc = res
                 if texc is not None:
@@ -820,23 +732,18 @@ class Fuzzer:
         # scalar engine (same absorb points), and structurally identical
         # at every thread count (threads=1 still dispatches async) so
         # suites cannot depend on the thread count.
-        kstart = getattr(bdriver, "start", None)
-        kfinish = getattr(bdriver, "finish", None)
-        pipelined = (
-            self.engine == "kernel"
-            and lanes > 1
-            and kstart is not None
-            and kfinish is not None
-        )
+        kstart = kdriver.start if kdriver is not None else None
+        kfinish = kdriver.finish if kdriver is not None else None
+        pipelined = kdriver is not None and lanes > 1
         inflight: List = []  # at most one (items, handle) batch
 
         def kernel_finish(items, handle):
             """One timed kfinish: wait + per-lane fold, span-accounted."""
             if kspans is None:
-                absorb_results(items, kfinish(bprogram, handle, state.total_int))
+                absorb_results(items, kfinish(kprogram, handle, state.total_int))
                 return
             t0 = time.perf_counter()
-            results = kfinish(bprogram, handle, state.total_int)
+            results = kfinish(kprogram, handle, state.total_int)
             kspans["fold_n"] += 1
             kspans["fold_s"] += time.perf_counter() - t0
             absorb_results(items, results)
@@ -847,58 +754,41 @@ class Fuzzer:
                 kernel_finish(items, handle)
 
         def run_batch(items) -> None:
-            """Execute ≤ ``lanes`` inputs in lockstep and absorb each lane.
+            """Execute ≤ ``lanes`` inputs on the kernel and absorb each lane.
 
             ``items`` is a list of ``(data, parent_density, ops)``.  The
-            batched driver threads ``total_int`` through the lanes in list
-            order, so absorption below reproduces the sequential scalar
-            accounting input for input.  On the pipelined kernel path
-            the batch is dispatched asynchronously and the *previous*
-            batch is absorbed instead — absorption order stays the
-            submission order.
+            kernel driver threads ``total_int`` through the lanes in list
+            order, so absorption reproduces the sequential scalar
+            accounting input for input.  On the pipelined path the batch
+            is dispatched asynchronously and the *previous* batch is
+            absorbed instead — absorption order stays the submission
+            order.
             """
-            if pipelined:
-                if kspans is None:
-                    handle = kstart(bprogram, [it[0] for it in items])
-                else:
-                    t0 = time.perf_counter()
-                    handle = kstart(bprogram, [it[0] for it in items])
-                    kspans["dispatch_n"] += 1
-                    kspans["dispatch_s"] += time.perf_counter() - t0
-                prev = inflight[:]
-                del inflight[:]
-                # snapshot: callers recycle the ``pending`` list in place
-                # (``del pending[:]``) right after dispatch, so holding the
-                # live reference would absorb the *next* batch's items
-                # against this batch's results
-                inflight.append((list(items), handle))
-                for pitems, phandle in prev:
-                    kernel_finish(pitems, phandle)
-                return
             if kspans is None:
-                results = bdriver(
-                    bprogram,
-                    brecorder.curr if brecorder is not None else None,
-                    [it[0] for it in items],
-                    state.total_int,
-                )
+                handle = kstart(kprogram, [it[0] for it in items])
             else:
                 t0 = time.perf_counter()
-                results = bdriver(
-                    bprogram,
-                    brecorder.curr if brecorder is not None else None,
-                    [it[0] for it in items],
-                    state.total_int,
-                )
+                handle = kstart(kprogram, [it[0] for it in items])
                 kspans["dispatch_n"] += 1
                 kspans["dispatch_s"] += time.perf_counter() - t0
-            absorb_results(items, results)
+            if not pipelined:
+                kernel_finish(items, handle)
+                return
+            prev = inflight[:]
+            del inflight[:]
+            # snapshot: callers recycle the ``pending`` list in place
+            # (``del pending[:]``) right after dispatch, so holding the
+            # live reference would absorb the *next* batch's items
+            # against this batch's results
+            inflight.append((list(items), handle))
+            for pitems, phandle in prev:
+                kernel_finish(pitems, phandle)
 
-        pending: List = []  # batched mode: inputs awaiting a lockstep flush
+        pending: List = []  # kernel mode: inputs awaiting a batch flush
 
         def submit(data: bytes, parent_density: float, ops=None) -> None:
             """Run one input — immediately (scalar) or via the lane queue."""
-            if bdriver is None:
+            if kdriver is None:
                 run_one(data, parent_density, ops)
                 return
             pending.append((data, parent_density, ops))
@@ -1004,19 +894,19 @@ class Fuzzer:
             )
             if self.engine == "kernel":
                 slice_s = max(time.perf_counter() - start, 1e-9)
-                busy = [round(b, 6) for b in bprogram.block_busy_s]
+                busy = [round(b, 6) for b in kprogram.block_busy_s]
                 tel.emit(
                     "kernel_threads",
-                    threads=bprogram.threads,
+                    threads=kprogram.threads,
                     lanes=lanes,
-                    dispatches=bprogram.dispatches,
+                    dispatches=kprogram.dispatches,
                     block_busy_s=busy,
                     utilization=[round(b / slice_s, 4) for b in busy],
-                    stall_s=round(bprogram.stall_s, 6),
+                    stall_s=round(kprogram.stall_s, 6),
                     pipelined=pipelined,
                 )
                 tel.gauge("engine.pipeline_stall_s").set(
-                    round(bprogram.stall_s, 6)
+                    round(kprogram.stall_s, 6)
                 )
             g_execs.set(state.inputs_executed)
             g_corpus.set(len(corpus))

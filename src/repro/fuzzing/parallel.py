@@ -90,6 +90,10 @@ _BACKOFF_CAP = 2.0
 #: grace period for joining/terminating workers during shutdown
 _JOIN_SECONDS = 5.0
 
+#: how long an idle worker blocks on its task queue between checks that
+#: the process which spawned it is still alive
+_ORPHAN_CHECK_SECONDS = 1.0
+
 
 def derive_worker_seed(seed: int, worker_index: int) -> int:
     """The deterministic RNG seed of one campaign worker."""
@@ -155,6 +159,34 @@ def _run_slice(fuzzer: Fuzzer, payload: Dict) -> FuzzState:
     return state
 
 
+def _worker_tasks(task_q, result_q):
+    """Iterate a pool worker's payloads until the ``None`` sentinel.
+
+    Also stops once the process that spawned the worker is gone: a
+    SIGKILLed parent never sends the sentinel, and its workers would
+    otherwise block in ``get()`` forever after init adopts them.  An
+    orphan does not wait to flush results nobody will read.  Call it on
+    worker entry: the parent is the one seen at call time (under
+    ``forkserver`` that is the server, which exits with its owner).
+    """
+    parent_pid = os.getppid()
+
+    def tasks():
+        while True:
+            try:
+                payload = task_q.get(timeout=_ORPHAN_CHECK_SECONDS)
+            except _queue.Empty:
+                if os.getppid() != parent_pid:
+                    result_q.cancel_join_thread()
+                    return
+                continue
+            if payload is None:
+                return
+            yield payload
+
+    return tasks()
+
+
 def _worker_main(
     schedule: Schedule,
     base_config: FuzzerConfig,
@@ -166,7 +198,8 @@ def _worker_main(
     """Entry point of one supervised campaign worker process.
 
     Long-lived: compiles the model once (a warm compile-cache read), then
-    serves epoch payloads from ``task_q`` until it receives ``None``.
+    serves epoch payloads from ``task_q`` until it receives ``None`` or
+    its parent dies (:func:`_worker_tasks`).
     Every accepted payload is acknowledged with a ``("hb", ...)`` message
     *before* the slice runs, so the parent can tell "still fuzzing" from
     "never picked the task up".  Messages carry the spawn generation so
@@ -177,11 +210,9 @@ def _worker_main(
     any environment-derived plan, which is how a respawned worker
     (payload shipped with ``faults=None``) re-runs clean.
     """
+    tasks = _worker_tasks(task_q, result_q)
     fuzzer = Fuzzer(schedule, base_config)
-    while True:
-        payload = task_q.get()
-        if payload is None:
-            return
+    for payload in tasks:
         epoch = payload.get("epoch", 0)
         worker = payload.get("worker", slot)
         result_q.put(("hb", slot, gen, epoch, None))

@@ -48,7 +48,12 @@ from ..faults.plan import (
     should_fire as faults_should_fire,
 )
 from ..fuzzing.engine import Fuzzer, FuzzerConfig
-from ..fuzzing.parallel import _BACKOFF_BASE, _BACKOFF_CAP, _DEATH_EXIT_CODE
+from ..fuzzing.parallel import (
+    _BACKOFF_BASE,
+    _BACKOFF_CAP,
+    _DEATH_EXIT_CODE,
+    _worker_tasks,
+)
 from ..parser import model_from_xml
 from ..schedule import convert
 from ..slx import load_container
@@ -195,13 +200,11 @@ def _service_worker_main(slot: int, gen: int, task_q, result_q) -> None:
     spawn generation, and injected faults fire right after the
     acknowledgement.  Unlike a campaign worker, the payload names which
     *job* it belongs to — the scheduler multiplexes jobs over slots, so
-    slot identity alone means nothing.
+    slot identity alone means nothing.  It exits on the ``None``
+    sentinel or once the daemon that spawned it has died.
     """
     fuzzers: Dict[str, Fuzzer] = {}
-    while True:
-        payload = task_q.get()
-        if payload is None:
-            return
+    for payload in _worker_tasks(task_q, result_q):
         job = payload["job"]
         epoch = payload.get("epoch", 0)
         result_q.put(("hb", slot, gen, epoch, {"job": job}))

@@ -60,7 +60,7 @@ ENGINE_GAUGES: Dict[str, str] = {
     ),
     "engine.ladder_position": (
         "Fallback-ladder position of the active backend: "
-        "2=kernel, 1=batch, 0=scalar"
+        "2=kernel, 0=scalar"
     ),
     "engine.plateau": "1 while the campaign is coverage-plateaued, else 0",
     "campaign.workers_live": "Worker slots still alive (parallel campaigns)",
@@ -68,8 +68,10 @@ ENGINE_GAUGES: Dict[str, str] = {
     "campaign.union_covered": "Union probe coverage across all workers",
 }
 
-#: maps ``Fuzzer.engine`` strings to the ladder-position gauge value
-LADDER_POSITIONS: Dict[str, int] = {"scalar": 0, "batch": 1, "kernel": 2}
+#: maps ``Fuzzer.engine`` strings to the ladder-position gauge value;
+#: the values predate the ladder's two-rung form and stay put so the
+#: gauge reads the same across versions
+LADDER_POSITIONS: Dict[str, int] = {"scalar": 0, "kernel": 2}
 
 #: the per-job gauge families of the campaign-service ``/metrics``
 #: exposition (registry name -> HELP text); every sample carries a

@@ -50,7 +50,6 @@ __all__ = [
     "generate_lane_streams",
     "Divergence",
     "run_differential",
-    "run_batch_differential",
     "run_kernel_differential",
     "minimize_divergence",
     "dump_divergence",
@@ -355,109 +354,18 @@ def run_differential(
 
 
 # -------------------------------------------------------------------- #
-# the batched (lane-parallel) differential oracle
+# lane-parallel input streams
 # -------------------------------------------------------------------- #
 def generate_lane_streams(
     layout, seed: int, lanes: int, n_rows: int = 16
 ) -> List[List[bytes]]:
     """Ragged per-lane row streams: distinct content *and* lengths, so
-    the batched engine's activity masking is exercised, not just the
+    the kernel's per-lane activity masking is exercised, not just the
     all-lanes-in-lockstep happy path."""
     return [
         generate_rows(layout, seed ^ (0x5AE1 * (l + 1)), max(1, n_rows - l % 5))
         for l in range(lanes)
     ]
-
-
-def run_batch_differential(
-    seed: int, lanes: int, n_rows: int = 16, optimize: bool = True
-) -> Optional[Divergence]:
-    """Batched property: every lane of the vectorized engine reproduces
-    the scalar generated code exactly — outputs, per-step probe bytes
-    and final MCDC vectors, lane by lane.
-
-    The scalar engine is authoritative: it runs each lane's stream
-    sequentially, then ONE batched program steps all streams in lockstep
-    and every active lane is compared against its scalar recording.
-    """
-    import numpy as np
-
-    from repro.codegen.batch import _lv
-
-    schedule = convert(generate_model(seed))
-    layout = schedule.layout
-    streams = generate_lane_streams(layout, seed, lanes, n_rows)
-
-    compiled = compile_model(schedule, "model", optimize=optimize)
-    expected = []  # per lane: (outputs per step, probe bytes per step, mcdc)
-    WATCHDOG.configure(_STEP_BUDGET)
-    errstate = None
-    try:
-        for rows in streams:
-            rec = CoverageRecorder(schedule.branch_db)
-            program, _ = compiled.instantiate(rec)
-            program.init()
-            outs, probes = [], []
-            for raw in rows:
-                fields = layout.unpack_tuple(raw)
-                rec.reset_curr()
-                WATCHDOG.arm()
-                outs.append(tuple(program.step(*fields)))
-                probes.append(bytes(rec.curr))
-                rec.commit_curr()
-            expected.append((outs, probes, rec.mcdc_vectors))
-
-        bcompiled = compile_model(schedule, "model", optimize=optimize, batch=True)
-        bprogram, brec = bcompiled.instantiate_batch(lanes, record_mcdc=True)
-        n_steps = max(len(s) for s in streams)
-        fields = list(layout.fields)
-        # masked lanes still evaluate both branch bodies: numpy warns on
-        # e.g. masked-out zero divisors the scalar engine never executes
-        errstate = np.seterr(all="ignore")
-        for t in range(n_steps):
-            act = np.zeros(lanes, dtype=bool)
-            vals = [
-                np.zeros(lanes, dtype=np.float64 if f.dtype.is_float else np.int64)
-                for f in fields
-            ]
-            for l, rows in enumerate(streams):
-                if t >= len(rows):
-                    continue
-                act[l] = True
-                for fi, v in enumerate(layout.unpack_tuple(rows[t])):
-                    vals[fi][l] = v
-            brec.reset_curr()
-            bprogram.arm_lanes()  # scalar arms per row: same per-step budget
-            outs = bprogram.step(act, *vals)
-            for l in range(lanes):
-                if not act[l]:
-                    continue
-                exp_outs, exp_probes, _ = expected[l]
-                got = tuple(_lv(o, l) for o in outs)
-                if got != exp_outs[t]:
-                    return Divergence(
-                        seed, optimize, streams[l], t,
-                        "lane outputs differ", got, exp_outs[t],
-                        extra={"lanes": lanes, "lane": l},
-                    )
-                if brec.lane_bytes(l) != exp_probes[t]:
-                    return Divergence(
-                        seed, optimize, streams[l], t,
-                        "lane probe bytes differ", got, exp_outs[t],
-                        extra={"lanes": lanes, "lane": l},
-                    )
-        for l in range(lanes):
-            if brec.mcdc_vectors[l] != expected[l][2]:
-                return Divergence(
-                    seed, optimize, streams[l], max(len(streams[l]) - 1, 0),
-                    "lane mcdc vectors differ",
-                    extra={"lanes": lanes, "lane": l},
-                )
-    finally:
-        WATCHDOG.configure(None)
-        if errstate is not None:
-            np.seterr(**errstate)
-    return None
 
 
 # -------------------------------------------------------------------- #
@@ -469,7 +377,7 @@ def run_kernel_differential(
     """Kernel property: every lane of the fused native kernel reproduces
     the scalar generated code exactly — outputs and per-step probe
     bytes, lane by lane.  (The kernel records no MCDC vectors by design;
-    the scalar and vectorized oracles cover those.)
+    the scalar oracle covers those.)
 
     Raises :class:`repro.codegen.kernel.Unloweable` for the rare
     generated model the C lowering rejects — callers count those as
@@ -658,21 +566,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, help="check one seed only")
     parser.add_argument("--no-optimize", action="store_true")
     parser.add_argument(
-        "--batch-lanes",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run the lane-by-lane batched-vs-scalar differential "
-        "at N lanes (0 = scalar sweep only)",
-    )
-    parser.add_argument(
         "--kernel-lanes",
         type=int,
         default=0,
         metavar="N",
         help="also run the lane-by-lane kernel-vs-scalar differential at "
-        "N lanes (0 = off; needs a C compiler; un-loweable seeds are "
-        "counted, not failed — they degrade to the batch engine)",
+        "N lanes (0 = off; needs a C compiler and numpy; un-loweable "
+        "seeds are counted — a campaign on one falls back to scalar — "
+        "and any count above zero fails the full sweep)",
     )
     parser.add_argument("--out", default="diff-artifacts")
     args = parser.parse_args(argv)
@@ -684,10 +585,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     for seed in seeds:
         for optimize in modes:
             div = run_differential(seed, n_rows=args.rows, optimize=optimize)
-            if div is None and args.batch_lanes:
-                div = run_batch_differential(
-                    seed, args.batch_lanes, n_rows=args.rows, optimize=optimize
-                )
             if div is None and args.kernel_lanes:
                 from repro.codegen.kernel import Unloweable
 

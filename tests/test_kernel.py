@@ -1,15 +1,18 @@
 """The fused native kernel backend: parity, degradation, caching.
 
-The kernel is the third execution engine (scalar -> numpy batch ->
-native kernel) and the fastest; these tests pin its three contracts:
+The kernel is the lane-parallel execution engine (the fallback ladder
+is kernel -> scalar); these tests pin its contracts:
 
 * **bit-parity** — at one lane the kernel reproduces the scalar
   generated driver's suites byte for byte (the lane-by-lane sweep in
   ``test_modelgen_differential.py`` covers the wide widths);
-* **graceful degradation** — no C compiler or an un-loweable model
-  falls down the kernel -> batch -> scalar ladder, emits ``fault``
-  telemetry (never silent), and still produces the byte-identical
-  suite of the engine it landed on;
+* **per-lane watchdog** — a hanging lane is aborted alone at the scalar
+  abort point, its pre-abort coverage folds into the campaign bitmap,
+  and the surviving lanes' results are untouched;
+* **graceful degradation** — no numpy, no C compiler, a build failure
+  or an un-loweable model lands on the scalar engine with exactly one
+  ``engine_fallback`` fault event (never silent) and the scalar
+  engine's byte-identical suite;
 * **content-addressed caching** — kernel artifacts get their own cache
   slot, survive a warm reload, and a corrupted entry quarantines the
   ``.c``/``.so`` pair alongside the Python artifacts.
@@ -18,15 +21,18 @@ native kernel) and the fastest; these tests pin its three contracts:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import repro.codegen.kernel as kernel_mod
 from conftest import demo_model, skip_if_no_cc
-from repro import convert
-from repro.codegen.batch import MAX_LANES
+from repro import CoverageRecorder, ModelBuilder, compile_model, convert
 from repro.codegen.cache import CompileCache, cache_key
+from repro.codegen.driver import compile_fuzz_driver
 from repro.codegen.kernel import (
     KernelBuildError,
     MAX_KERNEL_LANES,
@@ -35,17 +41,58 @@ from repro.codegen.kernel import (
     compile_kernel_fuzz_driver,
     have_cc,
 )
-from repro.errors import FuzzingError
+from repro.errors import FuzzingError, WatchdogTimeout
+from repro.faults.crashes import CrashStore
+from repro.faults.watchdog import WATCHDOG
 from repro.fuzzing import Fuzzer, FuzzerConfig
 from repro.telemetry.core import Telemetry
 from repro.telemetry.events import read_trace
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
 
 @pytest.fixture(scope="module")
 def schedule():
     return convert(demo_model())
+
+
+@pytest.fixture(autouse=True)
+def _clean_watchdog():
+    WATCHDOG.configure(None)
+    yield
+    WATCHDOG.configure(None)
+
+
+def hang_model():
+    """A model whose MATLAB-function block loops forever when u > 100.
+
+    Unlike the minimal hang model in ``test_faults.py``, the branch ahead
+    of the loop gives the model coverage probes, so a hanging input has
+    pre-abort probe progress for the watchdog machinery to fold."""
+    b = ModelBuilder("hang")
+    u = b.inport("u", "int16")
+    y = b.block(
+        "MatlabFunction",
+        "f",
+        inputs=["u"],
+        outputs=[("y", "int32")],
+        body=(
+            "acc = 0\n"
+            "if u > 50\n"
+            " acc = 1\n"
+            "end\n"
+            "while u > 100\n"
+            "  acc = acc + 1\n"
+            "end\n"
+            "y = acc + u"
+        ),
+        locals={"acc": ("int32", 0)},
+    )(u)
+    b.outport("y", y)
+    return b.build()
 
 
 def suite_digest(suite) -> str:
@@ -89,13 +136,13 @@ class TestKernelParity:
         assert st_s.iterations_executed == st_k.iterations_executed
         assert suite_digest(st_s.suite) == suite_digest(st_k.suite)
 
-    def test_kernel_lanes_beyond_the_batch_bitset(self, schedule, tmp_path):
-        """The kernel's lane ceiling is 256, past the numpy engine's 64."""
+    def test_kernel_lanes_beyond_64(self, schedule, tmp_path):
+        """The kernel's lane ceiling is 256, past one 64-bit word."""
         fk, st, _ = run_config(
-            schedule, tmp_path, "wide", lanes=MAX_LANES * 2, kernel="on"
+            schedule, tmp_path, "wide", lanes=128, kernel="on"
         )
         assert fk.engine == "kernel"
-        assert fk._batch_lanes == MAX_LANES * 2
+        assert fk._kernel_lanes == 128
         assert st.inputs_executed == 300
         assert st.suite.cases
 
@@ -115,34 +162,149 @@ class TestKernelParity:
 
 
 # -------------------------------------------------------------------- #
-# the degradation ladder
+# multi-lane campaigns + the per-lane watchdog
 # -------------------------------------------------------------------- #
+class TestMultiLane:
+    def test_multi_lane_run_is_deterministic(self, schedule):
+        def run():
+            config = FuzzerConfig(
+                max_seconds=600.0, max_inputs=200, seed=11, lanes=4
+            )
+            return Fuzzer(schedule, config).run()
+
+        a, b = run(), run()
+        assert a.inputs_executed == b.inputs_executed == 200
+        assert suite_digest(a.suite) == suite_digest(b.suite)
+        assert a.report.as_dict() == b.report.as_dict()
+
+    @pytest.mark.parametrize("lanes", [0, -1, "64", MAX_KERNEL_LANES + 1])
+    def test_config_rejects_out_of_range_lanes(self, schedule, lanes):
+        with pytest.raises(FuzzingError):
+            Fuzzer(schedule, FuzzerConfig(lanes=lanes))
+
+
+class TestPerLaneWatchdog:
+    @skip_if_no_cc
+    def test_hanging_lane_aborts_alone_and_matches_scalar(self):
+        """A hanging lane between two benign lanes: the benign lanes
+        match the scalar driver exactly, the hanging one aborts at the
+        scalar abort point with the scalar pre-abort coverage fold."""
+        schedule = convert(hang_model())
+        layout = schedule.layout
+        benign = layout.pack_stream([(5,)] * 6)
+        hanging = layout.pack_stream([(5,), (5,), (200,), (5,), (5,), (5,)])
+        streams = [benign, hanging, benign]
+        WATCHDOG.configure(200)
+
+        sdriver = compile_fuzz_driver(schedule)
+        rec = CoverageRecorder(schedule.branch_db)
+        program, _ = compile_model(schedule, "model").instantiate(rec)
+        expected, total = [], 0
+        for data in streams:
+            try:
+                metric, found, total, iters = sdriver(
+                    program, rec.curr, data, total
+                )
+                expected.append((metric, found, total, iters, None))
+            except WatchdogTimeout as exc:
+                WATCHDOG.disarm()
+                total = exc.partial_total_int
+                expected.append((exc.partial_total_int, exc.iterations))
+
+        ck = compile_kernel(schedule, "model", cache=False)
+        kdriver = compile_kernel_fuzz_driver(schedule)
+        results = kdriver(ck.instantiate_kernel(3), None, streams, 0)
+
+        # benign lanes: full parity with the scalar driver
+        assert results[0][:4] == expected[0][:4]
+        assert results[2][:4] == expected[2][:4]
+        assert results[0][4] is None and results[2][4] is None
+        # hanging lane: aborted with the scalar abort point and the
+        # scalar pre-abort coverage fold
+        _, _, t1, i1, e1 = results[1]
+        assert isinstance(e1, WatchdogTimeout)
+        assert (t1, i1) == expected[1]
+        assert i1 == 2  # hung inside the third tuple
+        assert t1 != 0  # probes covered before the abort still count
+
+    def test_fuzzer_with_lanes_records_timeout_artifacts(self, tmp_path):
+        crash_dir = str(tmp_path / "crashes")
+        schedule = convert(hang_model())
+        config = FuzzerConfig(
+            max_seconds=600.0,
+            max_inputs=120,
+            seed=3,
+            max_exec_steps=200,
+            crash_dir=crash_dir,
+            lanes=4,
+            stop_on_full_coverage=False,
+        )
+        result = Fuzzer(schedule, config).run()
+        assert result.timeouts > 0
+        assert result.inputs_executed == 120  # the campaign kept going
+        store = CrashStore.load(crash_dir)
+        assert len(store) >= 1
+        for artifact in store.artifacts.values():
+            assert artifact.kind == "timeout"
+            # pre-abort probe progress was folded, not discarded
+            assert artifact.meta()["probes_covered"] > 0
+        assert WATCHDOG.remaining is None  # no armed budget leaks out
+
+
+# -------------------------------------------------------------------- #
+# the fallback ladder: kernel -> scalar
+# -------------------------------------------------------------------- #
+def _no_cc(monkeypatch):
+    monkeypatch.setattr(kernel_mod, "find_cc", lambda: None)
+    return "compiler"
+
+
+def _unloweable(monkeypatch):
+    def boom(*a, **kw):
+        raise Unloweable("synthetic: construct has no C lowering")
+
+    monkeypatch.setattr(kernel_mod, "compile_kernel", boom)
+    return "no C lowering"
+
+
+def _build_failure(monkeypatch):
+    def boom(*a, **kw):
+        raise KernelBuildError("synthetic: cc exited with status 1")
+
+    monkeypatch.setattr(kernel_mod, "compile_kernel", boom)
+    return "status 1"
+
+
 class TestDegradationLadder:
     @pytest.fixture(autouse=True)
     def _numpy(self):
+        # without numpy every case falls back for that reason instead
         pytest.importorskip("numpy")
 
-    def test_no_compiler_falls_back_to_batch(
-        self, schedule, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "cause",
+        [_no_cc, _unloweable, _build_failure],
+        ids=["no_cc", "unloweable", "build_failure"],
+    )
+    def test_unbuildable_kernel_falls_back_to_scalar(
+        self, schedule, tmp_path, monkeypatch, cause
     ):
-        """kernel='on' without a toolchain lands on the vectorized
-        engine with a fault event — and the exact suite that engine
-        produces on its own."""
-        monkeypatch.setattr(kernel_mod, "find_cc", lambda: None)
-        fk, st_k, events = run_config(
-            schedule, tmp_path, "nocc", lanes=4, kernel="on"
-        )
-        assert fk.engine == "batch"
+        """lanes=4 with a kernel that cannot be built lands on scalar
+        with exactly one fault event — and the exact suite a plain
+        lanes=1 campaign produces."""
+        reason = cause(monkeypatch)
+        fk, st_k, events = run_config(schedule, tmp_path, "down", lanes=4)
+        assert fk.engine == "scalar"
         falls = fallback_events(events)
-        assert falls and falls[0]["engine_from"] == "kernel"
-        assert falls[0]["engine_to"] == "batch"
-        assert "compiler" in falls[0]["reason"]
+        assert len(falls) == 1
+        assert falls[0]["engine_from"] == "kernel"
+        assert falls[0]["engine_to"] == "scalar"
+        assert reason in falls[0]["reason"]
         monkeypatch.undo()
-        fb, st_b, _ = run_config(
-            schedule, tmp_path, "batch", lanes=4, kernel="off"
-        )
-        assert fb.engine == "batch"
-        assert suite_digest(st_k.suite) == suite_digest(st_b.suite)
+        fs, st_s, _ = run_config(schedule, tmp_path, "plain", lanes=1)
+        assert fs.engine == "scalar"
+        assert st_k.inputs_executed == st_s.inputs_executed == 300
+        assert suite_digest(st_k.suite) == suite_digest(st_s.suite)
 
     def test_no_compiler_single_lane_falls_back_to_scalar(
         self, schedule, tmp_path, monkeypatch
@@ -158,32 +320,6 @@ class TestDegradationLadder:
         fs, st_s, _ = run_config(schedule, tmp_path, "scal", kernel="off")
         assert suite_digest(st_k.suite) == suite_digest(st_s.suite)
 
-    def test_unloweable_model_falls_back_to_batch(
-        self, schedule, tmp_path, monkeypatch
-    ):
-        def boom(*a, **kw):
-            raise Unloweable("synthetic: construct has no C lowering")
-
-        monkeypatch.setattr(kernel_mod, "compile_kernel", boom)
-        fk, st, events = run_config(
-            schedule, tmp_path, "unlow", lanes=4, kernel="auto"
-        )
-        assert fk.engine == "batch"
-        falls = fallback_events(events)
-        assert falls and "no C lowering" in falls[0]["reason"]
-        assert st.inputs_executed == 300
-
-    def test_build_failure_falls_back(self, schedule, tmp_path, monkeypatch):
-        def boom(*a, **kw):
-            raise KernelBuildError("synthetic: cc exited with status 1")
-
-        monkeypatch.setattr(kernel_mod, "compile_kernel", boom)
-        fk, _, events = run_config(
-            schedule, tmp_path, "ccfail", lanes=4, kernel="on"
-        )
-        assert fk.engine == "batch"
-        assert fallback_events(events)
-
     def test_kernel_off_never_touches_the_toolchain(
         self, schedule, tmp_path, monkeypatch
     ):
@@ -194,25 +330,110 @@ class TestDegradationLadder:
         fb, _, events = run_config(
             schedule, tmp_path, "off", lanes=4, kernel="off"
         )
-        assert fb.engine == "batch"
+        assert fb.engine == "scalar"
         assert not fallback_events(events)
 
     def test_lanes_auto_resolves_to_an_engine(self, schedule, tmp_path):
-        """auto never yields a predicted-regression engine: with a
-        toolchain it takes the kernel at 64 lanes; without numpy or a
-        winning census prediction it stays scalar."""
+        """auto means the kernel at 64 lanes unless kernel='off' (then
+        scalar); a host without a toolchain lands on scalar."""
         fz, st, _ = run_config(schedule, tmp_path, "auto", lanes="auto")
-        assert fz.engine in ("kernel", "batch", "scalar")
+        assert fz.engine == ("kernel" if have_cc() else "scalar")
         if have_cc():
-            assert fz.engine == "kernel"
-            assert fz._batch_lanes == MAX_LANES
+            assert fz._kernel_lanes == 64
         assert st.inputs_executed == 300
+        fo, _, events = run_config(
+            schedule, tmp_path, "autooff", lanes="auto", kernel="off"
+        )
+        assert fo.engine == "scalar"
+        assert not fallback_events(events)
 
     def test_config_validation(self, schedule):
         with pytest.raises(FuzzingError):
             Fuzzer(schedule, FuzzerConfig(kernel="maybe"))
         with pytest.raises(FuzzingError):
             Fuzzer(schedule, FuzzerConfig(lanes=MAX_KERNEL_LANES + 1))
+
+
+_NO_NUMPY_SCRIPT = r"""
+import hashlib, json, sys
+sys.modules["numpy"] = None  # every `import numpy` now raises ImportError
+import repro.fuzzing
+assert sys.modules["numpy"] is None, "repro.fuzzing imported numpy"
+sys.path.insert(0, sys.argv[1])
+from conftest import demo_model
+from repro import convert
+from repro.fuzzing import Fuzzer, FuzzerConfig
+from repro.telemetry.core import Telemetry
+from repro.telemetry.events import read_trace
+
+
+def suite_digest(suite):
+    h = hashlib.sha256()
+    for case in suite.cases:
+        h.update(case.data)
+    return h.hexdigest()
+
+
+schedule = convert(demo_model())
+out = {}
+for tag, kw in (("scalar", {"kernel": "off"}), ("lanes64", {"lanes": 64})):
+    path = "%s/%s.jsonl" % (sys.argv[2], tag)
+    tel = Telemetry(enabled=True, trace_path=path)
+    fuzzer = Fuzzer(
+        schedule, FuzzerConfig(max_inputs=300, seed=11, **kw), telemetry=tel
+    )
+    result = fuzzer.run()
+    tel.close()
+    out[tag] = {
+        "engine": fuzzer.engine,
+        "digest": suite_digest(result.suite),
+        "fallbacks": [
+            e for e in read_trace(path)
+            if e["ev"] == "fault" and e.get("kind") == "engine_fallback"
+        ],
+    }
+assert sys.modules["numpy"] is None
+print(json.dumps(out))
+"""
+
+
+class TestWithoutNumpy:
+    def test_importing_the_package_leaves_numpy_unloaded(self):
+        code = (
+            "import sys, repro, repro.codegen, repro.fuzzing; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_no_numpy_host_runs_scalar(self, schedule, tmp_path):
+        """numpy unimportable: the scalar campaign is the in-process
+        campaign byte for byte, and lanes=64 lands on scalar with one
+        loud fallback event."""
+        env = dict(
+            os.environ,
+            PYTHONPATH=SRC,
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_SCRIPT, TESTS, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        _, here, _ = run_config(schedule, tmp_path, "here", kernel="off")
+        assert out["scalar"]["engine"] == "scalar"
+        assert out["scalar"]["digest"] == suite_digest(here.suite)
+        assert not out["scalar"]["fallbacks"]
+        assert out["lanes64"]["engine"] == "scalar"
+        assert out["lanes64"]["digest"] == suite_digest(here.suite)
+        (fall,) = out["lanes64"]["fallbacks"]
+        assert fall["engine_from"] == "kernel"
+        assert fall["engine_to"] == "scalar"
+        assert "numpy" in fall["reason"]
 
 
 # -------------------------------------------------------------------- #
@@ -222,8 +443,7 @@ class TestKernelCache:
     def test_kernel_variant_has_its_own_cache_slot(self, schedule):
         plain = cache_key(schedule.model, "model", True)
         knl = cache_key(schedule.model, "model", True, kernel=True)
-        batched = cache_key(schedule.model, "model", True, batch=True)
-        assert len({plain, knl, batched}) == 3
+        assert plain != knl
 
     def test_quarantine_sweeps_native_artifacts(self, tmp_path):
         """A corrupted entry moves its .c/.so next to the .py/.bin in
@@ -293,6 +513,43 @@ class TestKernelDriver:
             assert tuple(g[:4]) == tuple(w[:4])
 
 
+    def test_driver_matches_scalar_on_ragged_batch(self, schedule):
+        """Same streams, same order ⇒ same per-input driver results —
+        including an empty stream and one shorter than a single tuple."""
+        import random
+
+        layout = schedule.layout
+
+        def stream(seed, n_bytes):
+            rng = random.Random(seed)
+            return bytes(rng.randrange(256) for _ in range(n_bytes))
+
+        streams = [
+            stream(1, layout.size * 12),
+            b"",  # zero iterations
+            stream(2, layout.size - 1),  # still zero
+            stream(3, layout.size * 3 + 2),  # partial tail
+            stream(4, layout.size * 20),
+        ]
+        sdriver = compile_fuzz_driver(schedule)
+        program, rec = compile_model(schedule, "model").instantiate()
+        expected, total = [], 0
+        for data in streams:
+            metric, found, total, iters = sdriver(program, rec.curr, data, total)
+            expected.append((metric, found, total, iters))
+
+        ck = compile_kernel(schedule, "model", cache=False)
+        kdriver = compile_kernel_fuzz_driver(schedule)
+        results = kdriver(ck.instantiate_kernel(len(streams)), None, streams, 0)
+        assert [tuple(r[:4]) for r in results] == expected
+        assert all(r[4] is None for r in results)
+
+    def test_empty_batch_is_a_noop(self, schedule):
+        ck = compile_kernel(schedule, "model", cache=False)
+        kdriver = compile_kernel_fuzz_driver(schedule)
+        assert kdriver(ck.instantiate_kernel(4), None, [], 0) == []
+
+
 # -------------------------------------------------------------------- #
 # multi-core execution
 # -------------------------------------------------------------------- #
@@ -337,24 +594,23 @@ class TestKernelThreading:
         assert fz._kernel_threads == 2
 
     def test_ladder_under_threading(self, schedule, tmp_path, monkeypatch):
-        """kernel_threads set + no toolchain: the same batch fallback,
-        the same fault telemetry, the same suite the batch engine
+        """kernel_threads set + no toolchain: the same scalar fallback,
+        the same fault telemetry, the same suite the scalar engine
         produces natively — threading never changes the ladder."""
         monkeypatch.setattr(kernel_mod, "find_cc", lambda: None)
         fk, st_k, events = run_config(
             schedule, tmp_path, "thrnocc",
             lanes=4, kernel="on", kernel_threads=4,
         )
-        assert fk.engine == "batch"
+        assert fk.engine == "scalar"
         falls = fallback_events(events)
-        assert falls and falls[0]["engine_from"] == "kernel"
-        assert falls[0]["engine_to"] == "batch"
+        assert len(falls) == 1
+        assert falls[0]["engine_from"] == "kernel"
+        assert falls[0]["engine_to"] == "scalar"
         monkeypatch.undo()
-        fb, st_b, _ = run_config(
-            schedule, tmp_path, "thrbatch", lanes=4, kernel="off"
-        )
-        assert fb.engine == "batch"
-        assert suite_digest(st_k.suite) == suite_digest(st_b.suite)
+        fs, st_s, _ = run_config(schedule, tmp_path, "thrscalar", kernel="off")
+        assert fs.engine == "scalar"
+        assert suite_digest(st_k.suite) == suite_digest(st_s.suite)
 
     def test_invalid_thread_config_raises(self, schedule):
         for bad in (0, -2, "three", True):

@@ -23,7 +23,6 @@ from modelgen import (
     generate_model,
     generate_rows,
     minimize_divergence,
-    run_batch_differential,
     run_differential,
     run_kernel_differential,
 )
@@ -75,37 +74,15 @@ def test_engines_agree_on_generated_models(optimize):
     assert not failures, "engine divergences:\n" + "\n".join(failures)
 
 
-@pytest.mark.parametrize("optimize", [True, False], ids=["opt", "noopt"])
-def test_batched_engine_matches_scalar(optimize):
-    """Lane-by-lane parity sweep: every lane of the vectorized engine
-    reproduces the scalar generated code exactly (outputs, per-step
-    probe bytes, MCDC vectors) over the seeded model sweep.
-
-    Lane counts {1, 4, 64} are strided across the seeds so the whole
-    sweep stays tier-1-sized while each width sees ~a third of the
-    models; any seed reproduces directly via
-    ``run_batch_differential(seed, lanes, optimize=...)``.
-    """
-    pytest.importorskip("numpy")
-    failures = []
-    for seed in range(_N_MODELS):
-        lanes = (1, 4, 64)[seed % 3]
-        div = run_batch_differential(seed, lanes=lanes, optimize=optimize)
-        if div is not None:
-            failures.append(
-                "seed=%d lanes=%d lane=%s row=%d %s"
-                % (seed, lanes, div.extra.get("lane"), div.row_index, div.detail)
-            )
-    assert not failures, "batched-engine divergences:\n" + "\n".join(failures)
-
-
 @skip_if_no_cc
 @pytest.mark.parametrize("optimize", [True, False], ids=["opt", "noopt"])
 def test_kernel_engine_matches_scalar(optimize):
     """Lane-by-lane parity sweep for the fused native kernel: every lane
     reproduces the scalar generated code exactly (outputs and per-step
     probe bytes) over the seeded model sweep, at lane widths {1, 4, 64}
-    strided across the seeds like the vectorized sweep above.
+    strided across the seeds so the sweep stays tier-1-sized while each
+    width sees about a third of the models; any seed reproduces directly
+    via ``run_kernel_differential(seed, lanes, optimize=...)``.
 
     The widened exactness lattice (signed-wrap and C-remainder idiom
     recognition plus the 31-bit ladder rung) lowers every generator

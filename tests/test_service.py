@@ -458,6 +458,25 @@ def _spawn_daemon(store: str, *extra):
     raise AssertionError("daemon never published its endpoint")
 
 
+def _children(pid: int):
+    """Child pids of ``pid`` (Linux ``/proc``; empty where unavailable)."""
+    try:
+        with open("/proc/%d/task/%d/children" % (pid, pid)) as fh:
+            return [int(child) for child in fh.read().split()]
+    except OSError:
+        return []
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live, non-zombie process."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
 CRASH_CONFIG = {
     "seed": 7,
     "max_inputs": 6000,
@@ -486,6 +505,7 @@ class TestDurability:
     def test_sigkill_mid_campaign_resumes_to_identical_digest(self, tmp_path):
         store = str(tmp_path / "store")
         proc, client = _spawn_daemon(store, "--pool", "2")
+        workers = []
         try:
             _, body = client.post(
                 "/jobs",
@@ -506,11 +526,23 @@ class TestDurability:
                 time.sleep(0.02)
             assert frame["rounds"] >= 2, "job finished before the kill"
             assert frame["state"] == "running"
+            workers = _children(proc.pid)
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
+            # the killed daemon's pool workers notice their parent is
+            # gone and exit instead of idling forever under init
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline and any(map(_running, workers)):
+                time.sleep(0.1)
+            orphans = [pid for pid in workers if _running(pid)]
+            assert not orphans, "orphaned pool workers: %s" % orphans
         except BaseException:
             proc.kill()
             raise
+        finally:
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
         # restart over the same store: the job resumes from its last
         # snapshot and the lost in-flight slice re-runs deterministically
         proc, client = _spawn_daemon(store, "--pool", "2")
