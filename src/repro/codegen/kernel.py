@@ -66,6 +66,7 @@ try:  # soft dependency: the scalar engine must keep working without numpy
 except ImportError:  # pragma: no cover - image always ships numpy
     _np = None
 
+from ..cpu import MAX_KERNEL_LANES
 from ..errors import CodegenError
 from ..faults.plan import should_fire as _should_fire
 from ..faults.watchdog import WATCHDOG, WatchdogTimeout
@@ -92,10 +93,6 @@ __all__ = [
 #: the ``stride`` parameter to ``kern_run`` so disjoint lane blocks can
 #: execute as zero-copy views over one shared column array.
 KERNEL_ABI_VERSION = 2
-
-#: per-model lane capacity of the native kernel: per-lane state is
-#: plain arrays, so lanes are cheap.
-MAX_KERNEL_LANES = 256
 
 
 class Unloweable(CodegenError):

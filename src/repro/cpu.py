@@ -11,7 +11,9 @@ overridable with ``REPRO_CPUS`` for tests and benchmarks.
 :func:`resolve_kernel_threads` turns ``FuzzerConfig.kernel_threads``
 (``int | "auto" | None``) into a concrete thread count, dividing the
 available cores by the campaign's worker count so threads x workers
-never oversubscribes the container.
+never oversubscribes the container.  :data:`MAX_KERNEL_LANES`, the
+native kernel's lane ceiling, lives here too, so config checks read it
+without loading the kernel module and numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ from __future__ import annotations
 import os
 from typing import Optional, Union
 
-__all__ = ["available_cpus", "resolve_kernel_threads"]
+__all__ = ["MAX_KERNEL_LANES", "available_cpus", "resolve_kernel_threads"]
+
+#: per-model lane capacity of the native kernel: per-lane state is
+#: plain arrays, so lanes are cheap.
+MAX_KERNEL_LANES = 256
 
 _CGROUP_V2_MAX = "/sys/fs/cgroup/cpu.max"
 _CGROUP_V1_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"

@@ -60,7 +60,7 @@ class FaultPlanError(ReproError):
 
 
 class CampaignDegradedError(FuzzingError):
-    """Every worker of a parallel campaign died beyond its respawn budget."""
+    """Every worker of a parallel campaign failed beyond its respawn budget."""
 
 
 class ServiceError(ReproError):

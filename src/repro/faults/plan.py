@@ -13,8 +13,8 @@ golden corpus digest" a testable statement.
 Supported kinds (:data:`FAULT_KINDS`):
 
 ``worker_death``
-    A parallel-campaign worker calls ``os._exit`` at the start of its
-    budget slice.  Params: ``worker`` (default 0), ``epoch`` (default 0).
+    A pool worker (campaign or service) calls ``os._exit`` at the start
+    of its budget slice.  Params: ``worker``, ``epoch``.
 ``slow_exec``
     A worker sleeps instead of fuzzing, simulating hung generated code
     that the in-process watchdog cannot interrupt.  Params: ``worker``,
@@ -30,15 +30,21 @@ Supported kinds (:data:`FAULT_KINDS`):
     exercising its corruption-quarantine path (the job-store analogue of
     ``cache_corrupt``).  No params.
 
+The site selectors ``worker`` (the pool slot) and ``epoch`` (the sync
+epoch, or a service job's slice round) narrow where a spec fires; a spec
+without them matches every site.
+
 The environment syntax (``REPRO_FAULTS``) is a comma-separated list of
 ``kind`` or ``kind:param=value:param=value`` entries, e.g.::
 
     REPRO_FAULTS=worker_death:worker=0:epoch=1,cache_corrupt
 
-Plans are plain picklable values: a parallel campaign parses the plan
-once in the parent and ships the relevant specs to its workers inside
-the epoch payload, which is how a respawned worker re-runs *without* the
-fault (the parent strips it from the retry payload).
+Plans are plain picklable values.  Worker faults are consumed by the
+process that dispatches the payload — a campaign parent or the service
+daemon (:func:`repro.fuzzing.parallel.ship_faults`) — so ``times``
+counts firings per campaign or per daemon, not per worker.  A consumed
+spec ships inside that one payload; retry payloads ship none, which is
+how a retried slice re-runs *without* the fault.
 """
 
 from __future__ import annotations
@@ -109,27 +115,6 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.specs)
-
-    def for_kinds(self, *kinds: str) -> "FaultPlan":
-        """A sub-plan holding only the given kinds (shares no firing
-        state with the parent — specs are copied unfired)."""
-        return FaultPlan(
-            [
-                FaultSpec(s.kind, dict(s.params), s.times)
-                for s in self.specs
-                if s.kind in kinds
-            ]
-        )
-
-    def without_kinds(self, *kinds: str) -> "FaultPlan":
-        """A sub-plan with the given kinds removed (for retry payloads)."""
-        return FaultPlan(
-            [
-                FaultSpec(s.kind, dict(s.params), s.times)
-                for s in self.specs
-                if s.kind not in kinds
-            ]
-        )
 
     def first_matching(self, kind: str, context: Dict) -> Optional[FaultSpec]:
         for spec in self.specs:

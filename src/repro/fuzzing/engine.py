@@ -20,14 +20,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..bits import popcount
 from ..codegen.compile import CompiledModel, compile_model
 from ..codegen.driver import compile_fuzz_driver
 from ..coverage.metrics import CoverageReport, compute_report
 from ..coverage.recorder import CoverageRecorder
-from ..cpu import resolve_kernel_threads
+from ..cpu import MAX_KERNEL_LANES, resolve_kernel_threads
 from ..errors import FuzzingError, WatchdogTimeout
 from ..faults.crashes import CrashStore
 from ..faults.watchdog import WATCHDOG
@@ -39,7 +39,10 @@ from .corpus import Corpus, CorpusEntry
 from .mutations import mutate_field_wise, mutate_generic
 from .testcase import TestCase, TestSuite
 
-__all__ = ["FuzzerConfig", "FuzzResult", "FuzzState", "Fuzzer", "replay_suite"]
+__all__ = [
+    "FuzzerConfig", "FuzzResult", "FuzzState", "Fuzzer", "check_config",
+    "replay_suite",
+]
 
 #: multiplier decorrelating the per-slice RNG streams of resumed runs
 _SLICE_SEED_STRIDE = 0x9E3779B1
@@ -120,6 +123,47 @@ class FuzzerConfig:
     kernel_threads: object = "auto"
 
 
+def check_config(config: FuzzerConfig) -> Tuple[int, bool]:
+    """Validate the engine settings of ``config``; return ``(lanes,
+    try_kernel)``, with ``lanes="auto"`` resolved.
+
+    ``kernel_threads`` is checked only when the kernel would be tried.
+    Loads neither the kernel nor numpy, so config errors raise even on
+    toolchain-less hosts, and the service rejects bad job specs early.
+    """
+    if config.level not in ("model", "code"):
+        raise FuzzingError("fuzzer level must be 'model' or 'code'")
+    kernel_mode = config.kernel
+    if kernel_mode not in ("auto", "on", "off"):
+        raise FuzzingError(
+            "config.kernel must be 'auto', 'on' or 'off', got %r"
+            % (kernel_mode,)
+        )
+    lanes = config.lanes
+    if lanes == "auto":
+        lanes = 1 if kernel_mode == "off" else _AUTO_LANES
+    if not isinstance(lanes, int) or isinstance(lanes, bool) or lanes < 1:
+        raise FuzzingError(
+            "config.lanes must be a positive int or 'auto', got %r"
+            % (config.lanes,)
+        )
+    if lanes > MAX_KERNEL_LANES:
+        raise FuzzingError(
+            "config.lanes must be <= %d, got %r" % (MAX_KERNEL_LANES, lanes)
+        )
+    try_kernel = kernel_mode == "on" or (kernel_mode == "auto" and lanes > 1)
+    kt = config.kernel_threads
+    if try_kernel and not (
+        kt in ("auto", None)
+        or (isinstance(kt, int) and not isinstance(kt, bool) and kt >= 1)
+    ):
+        raise FuzzingError(
+            "config.kernel_threads must be a positive int or 'auto', "
+            "got %r" % (kt,)
+        )
+    return lanes, try_kernel
+
+
 @dataclass
 class FuzzState:
     """Resumable campaign state — everything :meth:`Fuzzer.resume` touches.
@@ -189,8 +233,7 @@ class Fuzzer:
     ):
         self.schedule = schedule
         self.config = config or FuzzerConfig()
-        if self.config.level not in ("model", "code"):
-            raise FuzzingError("fuzzer level must be 'model' or 'code'")
+        lanes, try_kernel = check_config(self.config)
         # the per-run telemetry: an explicit argument, else the active
         # scope, else a private disabled registry — never the shared NULL
         # singleton, so phase attribution works even with telemetry off
@@ -226,7 +269,8 @@ class Fuzzer:
         #: which execution backend resume() will use: "scalar" or
         #: "kernel" — resolved once here, fallbacks included
         self.engine = "scalar"
-        self._setup_engines()
+        if try_kernel:
+            self._setup_kernel(lanes)
         self.layout = schedule.layout
         #: timeout/crash artifacts found by this fuzzer (disk-backed when
         #: ``config.crash_dir`` is set, in-memory otherwise)
@@ -235,43 +279,38 @@ class Fuzzer:
     def _setup_kernel(self, lanes: int) -> None:
         """Build the fused native kernel and its fuzz driver.
 
-        Raises ``Unloweable``/``KernelBuildError`` (no numpy, no C
-        compiler, build failure, un-loweable construct);
-        :meth:`_setup_engines` catches those and falls back to scalar.
+        Fallback ladder: kernel -> scalar.  A kernel that cannot be built
+        (no numpy, no C compiler, build failure, un-loweable model)
+        emits one ``engine_fallback`` fault event and leaves the
+        campaign on scalar rather than failing it.  Only this branch
+        imports the kernel module (and with it numpy).
         """
         from ..codegen import kernel as _kernel
 
-        kt = self.config.kernel_threads
-        if not (
-            kt in ("auto", None)
-            or (isinstance(kt, int) and not isinstance(kt, bool) and kt >= 1)
-        ):
-            # config errors must raise even on toolchain-less machines,
-            # so validate before the degradable numpy/cc checks below
-            raise FuzzingError(
-                "config.kernel_threads must be a positive int or 'auto', "
-                "got %r" % (kt,)
-            )
-        if not _kernel.have_numpy():
-            # the kernel driver marshals byte streams through numpy
-            raise _kernel.KernelBuildError(
-                "kernel backend requires numpy for input marshalling"
-            )
-        if not _kernel.have_cc():
-            raise _kernel.KernelBuildError(
-                "no C compiler on PATH (set $CC or install gcc/clang)"
-            )
-        with telemetry_scope(self.telemetry):
-            self._kernel_compiled = _kernel.compile_kernel(
-                self.schedule, self.config.level
-            )
-            with self.telemetry.phase("compile"):
-                self._kernel_driver = _kernel.compile_kernel_fuzz_driver(
-                    self.schedule
+        try:
+            if not _kernel.have_numpy():
+                # the kernel driver marshals byte streams through numpy
+                raise _kernel.KernelBuildError(
+                    "kernel backend requires numpy for input marshalling"
                 )
+            if not _kernel.have_cc():
+                raise _kernel.KernelBuildError(
+                    "no C compiler on PATH (set $CC or install gcc/clang)"
+                )
+            with telemetry_scope(self.telemetry):
+                self._kernel_compiled = _kernel.compile_kernel(
+                    self.schedule, self.config.level
+                )
+                with self.telemetry.phase("compile"):
+                    self._kernel_driver = _kernel.compile_kernel_fuzz_driver(
+                        self.schedule
+                    )
+        except (_kernel.Unloweable, _kernel.KernelBuildError) as exc:
+            self._engine_fault("kernel", "scalar", str(exc))
+            return
         self._kernel_lanes = lanes
         self._kernel_threads = resolve_kernel_threads(
-            kt, workers=self.config.workers, lanes=lanes
+            self.config.kernel_threads, workers=self.config.workers, lanes=lanes
         )
         self.engine = "kernel"
 
@@ -287,42 +326,6 @@ class Fuzzer:
                 reason=reason[:500],
                 model=self.schedule.model.name,
             )
-
-    def _setup_engines(self) -> None:
-        """Resolve config (lanes, kernel) into one execution backend.
-
-        Fallback ladder: kernel -> scalar.  A kernel that cannot be built
-        (no numpy, no C compiler, build failure, un-loweable model)
-        emits one ``engine_fallback`` fault event and leaves the
-        campaign on scalar rather than failing it.
-        """
-        from ..codegen import kernel as _kernel
-
-        config = self.config
-        kernel_mode = config.kernel
-        if kernel_mode not in ("auto", "on", "off"):
-            raise FuzzingError(
-                "config.kernel must be 'auto', 'on' or 'off', got %r"
-                % (kernel_mode,)
-            )
-        lanes = config.lanes
-        if lanes == "auto":
-            lanes = 1 if kernel_mode == "off" else _AUTO_LANES
-        if not isinstance(lanes, int) or isinstance(lanes, bool) or lanes < 1:
-            raise FuzzingError(
-                "config.lanes must be a positive int or 'auto', got %r"
-                % (config.lanes,)
-            )
-        if lanes > _kernel.MAX_KERNEL_LANES:
-            raise FuzzingError(
-                "config.lanes must be <= %d, got %r"
-                % (_kernel.MAX_KERNEL_LANES, lanes)
-            )
-        if kernel_mode == "on" or (kernel_mode == "auto" and lanes > 1):
-            try:
-                self._setup_kernel(lanes)
-            except (_kernel.Unloweable, _kernel.KernelBuildError) as exc:
-                self._engine_fault("kernel", "scalar", str(exc))
 
     def replay_compiled(self) -> CompiledModel:
         """The cached model-level artifact used for suite replay.

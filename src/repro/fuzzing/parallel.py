@@ -18,19 +18,23 @@ worker processes:
    ordered, byte-deduplicated) and replayed **once** on the fully
    instrumented model for the final report and a merged global timeline.
 
-**Supervision.**  Workers are long-lived processes owned by the parent,
-fed through per-worker task queues and answering on one shared result
-queue.  Each accepted payload is acknowledged with a start-of-slice
-heartbeat; a worker that dies (crash, OOM-kill, injected
+The pool machinery here (worker loop, slice runner, supervision, fault
+shipping, config pinning, trace absorb) is shared with the campaign
+service (:mod:`repro.service.scheduler`), which keeps only its own
+policy: round-robin job slices and durable snapshots.
+
+**Supervision.**  A worker that dies (crash, OOM-kill, injected
 ``worker_death`` fault) or goes silent past its deadline (hung generated
-code, injected ``slow_exec``) is detected by the parent, which respawns
-the slot — bounded by ``config.max_respawns``, with exponential backoff
-— and re-dispatches the *same* payload with injected faults stripped.
+code, injected ``slow_exec``) is reaped and respawned, bounded by
+``config.max_respawns`` per slot with exponential backoff, and gets the
+*same* payload with injected faults stripped.  A worker whose slice
+raised replies ``err``: that counts against the same budget, but the
+worker is alive and is never terminated — it gets the payload again.
 Because workers are stateless between epochs (the state travels inside
 the payload), the retried slice reproduces the lost work exactly, so a
 campaign that survives an injected worker death still produces the
 byte-identical merged suite of a fault-free run.  A slot that exhausts
-its respawn budget is retired and the campaign continues degraded on the
+its budget is retired and the campaign continues degraded on the
 remaining workers; when every slot is gone the campaign raises
 :class:`~repro.errors.CampaignDegradedError`.
 
@@ -38,8 +42,8 @@ remaining workers; when every slot is gone the campaign raises
 the classic single-process engine for a fixed seed.  Worker payloads and
 states are plain picklable values, so both ``fork`` and ``spawn`` start
 methods work (``spawn`` re-imports this module and re-compiles the model
-per process through the worker's startup — a warm read of the persistent
-compile cache, so per-worker startup no longer pays the codegen cost).
+per process on its first payload — a warm read of the persistent compile
+cache, so per-worker startup no longer pays the codegen cost).
 """
 
 from __future__ import annotations
@@ -49,14 +53,15 @@ import os
 import queue as _queue
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 from ..bits import popcount
 from ..codegen.compile import CompiledModel, compile_model
 from ..coverage.recorder import CoverageRecorder
 from ..cpu import resolve_kernel_threads
 from ..errors import CampaignDegradedError, FuzzingError, TelemetryError
-from ..faults.plan import get_plan, install as faults_install
+from ..faults.plan import FaultPlan, FaultSpec
+from ..faults.plan import install as faults_install
 from ..faults.plan import should_fire as faults_should_fire
 from ..schedule.schedule import Schedule
 from ..telemetry.core import NULL, Telemetry, get_telemetry, telemetry_scope
@@ -83,7 +88,7 @@ _DEATH_EXIT_CODE = 87
 #: how long the parent blocks on the result queue between liveness checks
 _POLL_SECONDS = 0.05
 
-#: respawn backoff: ``base * 2**(attempt-1)`` seconds, capped
+#: retry backoff: ``base * 2**(attempt-1)`` seconds, capped
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 2.0
 
@@ -94,10 +99,18 @@ _JOIN_SECONDS = 5.0
 #: the process which spawned it is still alive
 _ORPHAN_CHECK_SECONDS = 1.0
 
+#: the worker-side fault kinds a dispatch ships inside its payload
+_WORKER_FAULTS = ("worker_death", "slow_exec")
+
 
 def derive_worker_seed(seed: int, worker_index: int) -> int:
     """The deterministic RNG seed of one campaign worker."""
     return seed + _WORKER_SEED_STRIDE * worker_index
+
+
+def backoff_seconds(attempt: int) -> float:
+    """The pause before retry number ``attempt`` (1-based) of a slot."""
+    return min(_BACKOFF_BASE * (2 ** (attempt - 1)), _BACKOFF_CAP)
 
 
 def _default_start_method() -> str:
@@ -111,148 +124,209 @@ def _worker_trace_path(trace_path: str, worker: int) -> str:
     return "%s.worker%d" % (trace_path, worker)
 
 
-def _run_slice(fuzzer: Fuzzer, payload: Dict) -> FuzzState:
-    """Run one worker's budget slice; executed inside a worker process."""
+def resolved_config(config: FuzzerConfig, pool_size: int) -> FuzzerConfig:
+    """Pin ``kernel_threads`` against the pool before shipping.
+
+    Each pool worker would otherwise see ``workers=1`` and resolve
+    ``"auto"`` to every available core — oversubscribing threads x
+    workers.
+    """
+    kernel_threads = config.kernel_threads
+    if kernel_threads in ("auto", None):
+        kernel_threads = resolve_kernel_threads("auto", workers=pool_size)
+    return replace(config, workers=1, kernel_threads=kernel_threads)
+
+
+def ship_faults(slot: int, epoch: int) -> Optional[FaultPlan]:
+    """Consume the dispatching process's worker-fault specs for one payload.
+
+    The dispatcher (a campaign parent, the service daemon) owns the plan,
+    so ``worker_death:times=2`` means exactly two deaths per campaign or
+    per daemon; a consumed spec ships as a single-firing plan inside the
+    payload, where the worker's matching site fires it.
+    """
+    specs = []
+    for kind in _WORKER_FAULTS:
+        spec = faults_should_fire(kind, worker=slot, epoch=epoch)
+        if spec is not None:
+            specs.append(FaultSpec(kind, dict(spec.params), 1))
+    return FaultPlan(specs) if specs else None
+
+
+# ---------------------------------------------------------------------- #
+# traces
+# ---------------------------------------------------------------------- #
+def _trace_fault(telemetry: Telemetry, op: str, path: str, exc) -> None:
+    if telemetry.enabled:
+        telemetry.emit(
+            "fault", kind="trace_io_error", op=op, path=path, error=str(exc)
+        )
+
+
+def _unlink_trace(telemetry: Telemetry, path: str) -> None:
+    """Remove a stale or absorbed trace file; record failures as faults."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass  # nothing was traced there
+    except OSError as exc:
+        _trace_fault(telemetry, "unlink", path, exc)
+
+
+def absorb_trace(telemetry: Telemetry, path: str) -> List[Dict]:
+    """Fold a worker's trace file into ``telemetry``, delete it, and return
+    its events.  A worker that ran a payload always opened its file, so
+    an unreadable one is recorded as a fault instead of hidden."""
+    try:
+        events = list(read_trace(path))
+    except TelemetryError as exc:
+        _trace_fault(telemetry, "read", path, exc)
+        return []
+    telemetry.absorb(events)
+    _unlink_trace(telemetry, path)
+    return events
+
+
+# ---------------------------------------------------------------------- #
+# the worker side (runs in pool processes; must stay spawn-picklable)
+# ---------------------------------------------------------------------- #
+def payload_telemetry(payload: Dict) -> Telemetry:
+    """The telemetry of one payload, appending to its ``trace_path``.
+
+    A campaign slice names its ``worker``: events carry the tag, span ids
+    a ``w<i>e<j>-`` prefix and top-level spans ``parent_span`` as parent,
+    so the absorbed traces fold into one tree.  A service slice names no
+    worker, and its trace reads like a standalone campaign's.
+    """
+    trace_path = payload.get("trace_path")
+    worker = payload.get("worker")
+    tel = Telemetry(
+        enabled=bool(trace_path),
+        trace_path=trace_path,
+        tags=None if worker is None else {"worker": worker},
+        append=True,
+        span_prefix=(
+            "" if worker is None else "w%de%d-" % (worker, payload["epoch"])
+        ),
+    )
+    tel.span_root = payload.get("parent_span")
+    return tel
+
+
+def run_slice(fuzzer: Fuzzer, payload: Dict) -> FuzzState:
+    """Run one budget slice of a pool payload; executed inside a worker.
+
+    A campaign slice is wrapped in a ``slice`` span and closed by a
+    ``heartbeat`` event.
+    """
     fuzzer.config = payload["config"]
     state = payload["state"]
     if state is None:
         state = fuzzer.new_state()
-    trace_path = payload.get("trace_path")
-    worker = payload.get("worker", 0)
-    epoch = payload.get("epoch", 0)
-    if trace_path:
-        # a private, append-mode trace per worker per process; the parent
-        # absorbs the files into the campaign trace after the last epoch.
-        # Span ids get a worker/epoch prefix (collision-free after the
-        # absorb) and adopt the campaign root span as parent, so the
-        # merged trace folds into one tree
-        tel = Telemetry(
-            enabled=True,
-            trace_path=_worker_trace_path(trace_path, worker),
-            tags={"worker": worker},
-            append=True,
-            span_prefix="w%de%d-" % (worker, epoch),
-        )
-        tel.span_root = payload.get("parent_span")
-    else:
-        tel = Telemetry(enabled=False)
-    fuzzer.telemetry = tel
+    tel = fuzzer.telemetry = payload_telemetry(payload)
+    worker = payload.get("worker")
     try:
-        with tel.span("slice", worker=worker, epoch=epoch):
-            fuzzer.resume(
-                state,
-                max_seconds=payload["max_seconds"],
-                max_inputs=payload["max_inputs"],
-                extra_seeds=payload["extra_seeds"],
-            )
-        tel.emit(
-            "heartbeat",
-            worker=worker,
-            epoch=epoch,
-            t=round(state.elapsed, 6),
-            execs=state.inputs_executed,
-            covered=popcount(state.total_int),
-            corpus=len(state.corpus),
+        span = tel.span_begin("slice") if worker is not None else None
+        fuzzer.resume(
+            state,
+            max_seconds=payload["max_seconds"],
+            max_inputs=payload["max_inputs"],
+            extra_seeds=payload.get("extra_seeds"),
         )
+        if worker is not None:
+            tel.span_end(span, worker=worker, epoch=payload["epoch"])
+            tel.emit(
+                "heartbeat",
+                worker=worker,
+                epoch=payload["epoch"],
+                t=round(state.elapsed, 6),
+                execs=state.inputs_executed,
+                covered=popcount(state.total_int),
+                corpus=len(state.corpus),
+            )
     finally:
         tel.close()
     return state
 
 
-def _worker_tasks(task_q, result_q):
-    """Iterate a pool worker's payloads until the ``None`` sentinel.
+def worker_loop(slot: int, gen: int, task_q, result_q, run) -> None:
+    """The loop of every pool worker process, campaign or service.
 
-    Also stops once the process that spawned the worker is gone: a
-    SIGKILLed parent never sends the sentinel, and its workers would
-    otherwise block in ``get()`` forever after init adopts them.  An
-    orphan does not wait to flush results nobody will read.  Call it on
-    worker entry: the parent is the one seen at call time (under
-    ``forkserver`` that is the server, which exits with its owner).
+    Each payload is acknowledged with ``("hb", slot, gen, None)`` before
+    any work, so the parent can tell "still working" from "never picked
+    the task up".  The payload's fault plan then replaces any inherited
+    one (a retry ships ``faults=None``), and an injected fault fires
+    right there, where a real crash or hang would bite.  ``run(payload)``
+    answers ``ok`` with its result or ``err`` with the exception text;
+    the spawn generation ``gen`` lets the parent drop stragglers.
+
+    The loop ends on the ``None`` sentinel, or once the process that
+    spawned the worker is gone: a SIGKILLed parent never sends the
+    sentinel, and its workers would otherwise block in ``get()`` forever
+    after init adopts them.  An orphan does not wait to flush results
+    nobody will read.  Call it on worker entry: the parent is the one
+    seen at call time (under ``forkserver`` that is the server, which
+    exits with its owner).
     """
     parent_pid = os.getppid()
-
-    def tasks():
-        while True:
-            try:
-                payload = task_q.get(timeout=_ORPHAN_CHECK_SECONDS)
-            except _queue.Empty:
-                if os.getppid() != parent_pid:
-                    result_q.cancel_join_thread()
-                    return
-                continue
-            if payload is None:
+    while True:
+        try:
+            payload = task_q.get(timeout=_ORPHAN_CHECK_SECONDS)
+        except _queue.Empty:
+            if os.getppid() != parent_pid:
+                result_q.cancel_join_thread()
                 return
-            yield payload
-
-    return tasks()
-
-
-def _worker_main(
-    schedule: Schedule,
-    base_config: FuzzerConfig,
-    slot: int,
-    gen: int,
-    task_q,
-    result_q,
-) -> None:
-    """Entry point of one supervised campaign worker process.
-
-    Long-lived: compiles the model once (a warm compile-cache read), then
-    serves epoch payloads from ``task_q`` until it receives ``None`` or
-    its parent dies (:func:`_worker_tasks`).
-    Every accepted payload is acknowledged with a ``("hb", ...)`` message
-    *before* the slice runs, so the parent can tell "still fuzzing" from
-    "never picked the task up".  Messages carry the spawn generation so
-    the parent can discard stragglers from a superseded process.
-
-    Injected faults fire here, right after the acknowledgement — exactly
-    where a real crash or hang would bite.  The payload's plan replaces
-    any environment-derived plan, which is how a respawned worker
-    (payload shipped with ``faults=None``) re-runs clean.
-    """
-    tasks = _worker_tasks(task_q, result_q)
-    fuzzer = Fuzzer(schedule, base_config)
-    for payload in tasks:
-        epoch = payload.get("epoch", 0)
-        worker = payload.get("worker", slot)
-        result_q.put(("hb", slot, gen, epoch, None))
-        plan = payload.get("faults")
-        faults_install(plan if plan else None)
-        spec = faults_should_fire("worker_death", worker=worker, epoch=epoch)
+            continue
+        if payload is None:
+            return
+        epoch = payload["epoch"]
+        result_q.put(("hb", slot, gen, None))
+        faults_install(payload.get("faults") or None)
+        spec = faults_should_fire("worker_death", worker=slot, epoch=epoch)
         if spec is not None:
             os._exit(_DEATH_EXIT_CODE)
-        spec = faults_should_fire("slow_exec", worker=worker, epoch=epoch)
+        spec = faults_should_fire("slow_exec", worker=slot, epoch=epoch)
         if spec is not None:
             time.sleep(spec.param("seconds", 3600.0))
         try:
-            state = _run_slice(fuzzer, payload)
+            body = run(payload)
         except BaseException as exc:  # noqa: BLE001 - report, don't die
-            result_q.put(
-                ("err", slot, gen, epoch, "%s: %s" % (type(exc).__name__, exc))
-            )
+            error = "%s: %s" % (type(exc).__name__, exc)
+            result_q.put(("err", slot, gen, error))
         else:
-            result_q.put(("ok", slot, gen, epoch, state))
+            result_q.put(("ok", slot, gen, body))
 
 
+def _campaign_worker_main(schedule, config, slot, gen, task_q, result_q):
+    """One campaign worker: :func:`worker_loop` over :func:`run_slice`.
+    The model compiles on the first payload, so an error answers ``err``."""
+    fuzzer = None
+
+    def run(payload: Dict) -> FuzzState:
+        nonlocal fuzzer
+        if fuzzer is None:
+            fuzzer = Fuzzer(schedule, config)
+        return run_slice(fuzzer, payload)
+
+    worker_loop(slot, gen, task_q, result_q, run)
+
+
+# ---------------------------------------------------------------------- #
+# the parent side
+# ---------------------------------------------------------------------- #
 class WorkerPool:
-    """The process-supervision mechanics of a worker fleet, policy-free.
+    """A worker fleet plus the one supervision path of its dispatches.
 
-    Owns the multiprocessing context, one shared result queue, and per-
-    slot (process, task queue, spawn generation) triples.  Callers keep
-    the *policy* — respawn budgets, backoff, retirement, payload retry —
-    and borrow the mechanics: :meth:`spawn` (a fresh task queue per
-    spawn, so an undelivered payload in a dead worker's queue never
-    leaks into the replacement), :meth:`submit`, :meth:`alive`,
-    :meth:`reap`, :meth:`poll` (which drops messages from superseded
-    spawn generations), and :meth:`shutdown`.
-
-    Both :class:`ParallelFuzzer` (one campaign, the pool lives for the
-    campaign) and the campaign service's scheduler (many jobs
-    multiplexed over one long-lived pool — *pool lending*) run on this
-    class; the message contract is whatever tuple the worker ``main``
-    puts on ``result_q``, conventionally
-    ``(kind, slot, gen, epoch, body)`` with the spawn generation in
-    position 2 so :meth:`poll` can filter stragglers.
+    Owns the processes, one shared result queue, and each busy slot's
+    payload, hang grace and deadline.  :class:`ParallelFuzzer` (one
+    campaign) and the service scheduler (many jobs over one long-lived
+    pool) drive it alike: :meth:`dispatch`, then :meth:`collect` for
+    heartbeats, results and failures.  On a failure the caller charges
+    its own budget and emits its own events, then calls :meth:`retry`
+    or :meth:`release`.  A dead or hung slot is reaped and later
+    respawned; a worker that replied ``err`` is never terminated, since
+    killing a process that may hold the result queue's write lock
+    would wedge every other worker.
     """
 
     def __init__(
@@ -275,6 +349,10 @@ class WorkerPool:
         self.task_qs: List[Optional[object]] = [None] * size
         #: spawn generation per slot — the stale-message filter
         self.gens: List[int] = [0] * size
+        #: per busy slot: the in-flight payload, hang grace and deadline
+        self.payloads: Dict[int, Dict] = {}
+        self.graces: Dict[int, float] = {}
+        self.deadlines: Dict[int, float] = {}
 
     def spawn(self, slot: int) -> None:
         """(Re)start one slot on a fresh task queue and generation."""
@@ -293,13 +371,6 @@ class WorkerPool:
         for slot in range(self.size):
             self.spawn(slot)
 
-    def submit(self, slot: int, payload) -> None:
-        """Feed one task to a slot (the slot must have been spawned)."""
-        task_q = self.task_qs[slot]
-        if task_q is None:
-            raise FuzzingError("slot %d has never been spawned" % slot)
-        task_q.put(payload)
-
     def alive(self, slot: int) -> bool:
         proc = self.procs[slot]
         return proc is not None and proc.is_alive()
@@ -313,21 +384,68 @@ class WorkerPool:
             proc.terminate()
         proc.join(_JOIN_SECONDS)
 
-    def poll(self, timeout: float = _POLL_SECONDS):
-        """One result-queue message, or ``None`` on timeout/straggler.
+    def dispatch(self, slot: int, payload: Dict, grace: float) -> None:
+        """Send one payload to a slot; it must answer within ``grace``
+        seconds of the dispatch or of its last heartbeat."""
+        task_q = self.task_qs[slot]
+        if task_q is None:
+            raise FuzzingError("slot %d has never been spawned" % slot)
+        task_q.put(payload)
+        self.payloads[slot] = payload
+        self.graces[slot] = grace
+        self.deadlines[slot] = time.monotonic() + grace
 
-        Messages whose spawn generation is not the slot's current one
-        come from a superseded process and are dropped (returned as
-        ``None``, so the caller's timeout path — liveness and deadline
-        checks — runs either way).
+    def release(self, slot: int) -> None:
+        """Forget a slot's in-flight dispatch (answered or given up)."""
+        self.payloads.pop(slot, None)
+        self.graces.pop(slot, None)
+        self.deadlines.pop(slot, None)
+
+    def collect(self, timeout: float = _POLL_SECONDS) -> List[Tuple]:
+        """One supervision pass: ``(kind, slot, body)`` events.
+
+        A reply within ``timeout`` gives ``hb`` (deadline re-armed),
+        ``ok`` (slot released) or ``failed`` (an ``err`` reply); replies
+        from a superseded generation or to an idle slot are dropped.
+        Without one, each busy slot whose process died or whose deadline
+        passed is reaped and gives ``failed``.
         """
         try:
-            msg = self.result_q.get(timeout=timeout)
+            kind, slot, gen, body = self.result_q.get(timeout=timeout)
         except _queue.Empty:
-            return None
-        if msg[2] != self.gens[msg[1]]:
-            return None
-        return msg
+            return self._check_liveness()
+        if gen != self.gens[slot] or slot not in self.payloads:
+            return []
+        if kind == "hb":
+            self.deadlines[slot] = time.monotonic() + self.graces[slot]
+        elif kind == "ok":
+            self.release(slot)
+        else:
+            kind = "failed"
+        return [(kind, slot, body)]
+
+    def _check_liveness(self) -> List[Tuple]:
+        failed = []
+        now = time.monotonic()
+        for slot in sorted(self.payloads):
+            if not self.alive(slot):
+                reason = "worker process died"
+            elif now > self.deadlines[slot]:
+                reason = "no result within %.1fs (hung)" % self.graces[slot]
+            else:
+                continue
+            self.reap(slot)
+            failed.append(("failed", slot, reason))
+        return failed
+
+    def retry(self, slot: int, delay: float) -> None:
+        """Re-send a failed slot's payload, faults stripped, after
+        ``delay`` seconds — to a fresh process if the old one is gone."""
+        time.sleep(delay)
+        if not self.alive(slot):
+            self.spawn(slot)
+        retry = dict(self.payloads[slot], faults=None)
+        self.dispatch(slot, retry, self.graces[slot])
 
     def shutdown(self) -> None:
         """Stop every worker: ``None`` sentinel to live slots, then reap."""
@@ -402,23 +520,6 @@ class ParallelFuzzer:
         base, rem = divmod(config.max_inputs, config.workers)
         return [base + (1 if i < rem else 0) for i in range(config.workers)]
 
-    def _unlink_quietly(self, path: str) -> None:
-        """Remove a stale/absorbed worker trace; record failures as faults."""
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass  # a worker that found nothing never opened its trace
-        except OSError as exc:
-            tel = self.telemetry
-            if tel.enabled:
-                tel.emit(
-                    "fault",
-                    kind="trace_io_error",
-                    op="unlink",
-                    path=path,
-                    error=str(exc),
-                )
-
     def run(self) -> FuzzResult:
         config = self.config
         if config.workers == 1:
@@ -467,7 +568,7 @@ class ParallelFuzzer:
         if trace_path:
             for w in range(config.workers):
                 # clear stale per-worker files (they open in append mode)
-                self._unlink_quietly(_worker_trace_path(trace_path, w))
+                _unlink_trace(tel, _worker_trace_path(trace_path, w))
         workers = config.workers
         rounds = config.sync_rounds
         epoch_seconds = config.max_seconds / rounds
@@ -477,42 +578,22 @@ class ParallelFuzzer:
         # a slot is declared hung when its slice overruns the epoch budget
         # by more than the configured grace period
         grace = epoch_seconds + max(config.worker_timeout, 2 * _POLL_SECONDS)
-        # the parent's fault plan: injected worker faults ship inside the
-        # epoch payloads (and are stripped from respawn payloads), so a
-        # retried slice reproduces the lost work without re-faulting
-        plan = get_plan()
-        shipped = plan.for_kinds("worker_death", "slow_exec") if plan else None
-
-        # resolve kernel_threads="auto" against the *real* worker count
-        # before the workers=1 replace below: each worker process would
-        # otherwise see workers=1 and claim every available core for its
-        # kernel thread pool, oversubscribing threads x workers
-        kernel_threads = config.kernel_threads
-        if kernel_threads in ("auto", None):
-            kernel_threads = resolve_kernel_threads(
-                "auto", workers=config.workers
-            )
-        base_config = replace(
-            config, workers=1, kernel_threads=kernel_threads
-        )
+        base_config = resolved_config(config, workers)
         states: List[Optional[FuzzState]] = [None] * workers
         merged_seeds: List[bytes] = []
         start = time.perf_counter()
 
         pool = WorkerPool(
             workers,
-            _worker_main,
+            _campaign_worker_main,
             args=(self.schedule, base_config),
             start_method=self.start_method,
         )
         respawns = [0] * workers
-        live: Set[int] = set(range(workers))
-        pending: Set[int] = set()
-        deadlines: Dict[int, float] = {}
-        payloads: Dict[int, Dict] = {}
+        live = set(range(workers))
 
-        def handle_failure(slot: int, epoch: int, reason: str) -> None:
-            """A worker died, hung or errored: respawn or retire the slot."""
+        def on_failure(slot: int, epoch: int, reason: str) -> None:
+            """A slice failed: charge the slot's budget, retry or retire."""
             respawns[slot] += 1
             if tel.enabled:
                 tel.emit(
@@ -522,13 +603,11 @@ class ParallelFuzzer:
                     epoch=epoch,
                     error=reason,
                 )
-            pool.reap(slot)
             if respawns[slot] > config.max_respawns:
                 # graceful degradation: keep the slot's last completed
                 # state, carry on with the surviving workers
+                pool.release(slot)
                 live.discard(slot)
-                pending.discard(slot)
-                deadlines.pop(slot, None)
                 if tel.enabled:
                     tel.emit(
                         "worker_dead", worker=slot, epoch=epoch, reason=reason
@@ -541,51 +620,40 @@ class ParallelFuzzer:
                     )
                 if not live:
                     raise CampaignDegradedError(
-                        "all %d campaign workers died beyond their respawn "
+                        "all %d campaign workers failed beyond their respawn "
                         "budget (last failure: worker %d, epoch %d, %s)"
                         % (workers, slot, epoch, reason)
                     )
                 return
-            backoff = min(
-                _BACKOFF_BASE * (2 ** (respawns[slot] - 1)), _BACKOFF_CAP
-            )
-            if tel.enabled:
-                tel.emit(
-                    "worker_respawn",
-                    worker=slot,
-                    epoch=epoch,
-                    attempt=respawns[slot],
-                    backoff_s=round(backoff, 3),
-                )
-            if status is not None:
-                status.worker_update(
-                    slot,
-                    heartbeat=False,
-                    phase="respawning",
-                    respawns=respawns[slot],
-                )
-            time.sleep(backoff)
-            # re-dispatch the SAME payload with injected faults stripped:
-            # the respawned worker reproduces the lost slice exactly
-            retry = dict(payloads[slot])
-            retry["faults"] = None
-            payloads[slot] = retry
-            pool.spawn(slot)
-            pool.submit(slot, retry)
-            deadlines[slot] = time.monotonic() + grace
+            delay = backoff_seconds(respawns[slot])
+            if not pool.alive(slot):
+                if tel.enabled:
+                    tel.emit(
+                        "worker_respawn",
+                        worker=slot,
+                        epoch=epoch,
+                        attempt=respawns[slot],
+                        backoff_s=round(delay, 3),
+                    )
+                if status is not None:
+                    status.worker_update(
+                        slot,
+                        heartbeat=False,
+                        phase="respawning",
+                        respawns=respawns[slot],
+                    )
+            pool.retry(slot, delay)
 
         pool.spawn_all()
         try:
             for epoch in range(rounds):
-                pending.clear()
-                deadlines.clear()
                 for w in sorted(live):
                     cap = worker_totals[w]
                     if cap is not None:
                         # cumulative share: the cap applies to the
                         # state's total, so scale it with the epoch
                         cap = cap * (epoch + 1) // rounds
-                    payloads[w] = {
+                    payload = {
                         "config": replace(
                             base_config,
                             seed=derive_worker_seed(config.seed, w),
@@ -594,55 +662,38 @@ class ParallelFuzzer:
                         "max_seconds": epoch_seconds,
                         "max_inputs": cap,
                         "extra_seeds": merged_seeds,
-                        "trace_path": trace_path,
+                        "trace_path": trace_path
+                        and _worker_trace_path(trace_path, w),
                         "worker": w,
                         "epoch": epoch,
-                        "faults": shipped,
+                        "faults": ship_faults(w, epoch),
                         "parent_span": parent_span,
                     }
-                    pool.submit(w, payloads[w])
-                    deadlines[w] = time.monotonic() + grace
-                    pending.add(w)
+                    pool.dispatch(w, payload, grace)
                     if status is not None:
                         status.worker_update(
                             w, heartbeat=False, phase="dispatched", epoch=epoch
                         )
-                while pending:
-                    msg = pool.poll()
-                    if msg is None:
-                        now = time.monotonic()
-                        for w in sorted(pending):
-                            if not pool.alive(w):
-                                handle_failure(w, epoch, "worker process died")
-                            elif now > deadlines.get(w, now):
-                                handle_failure(
-                                    w,
-                                    epoch,
-                                    "no result within %.1fs (hung)" % grace,
+                while pool.payloads:
+                    for kind, w, body in pool.collect():
+                        if kind == "hb":
+                            if status is not None:
+                                status.worker_update(
+                                    w, phase="running", epoch=epoch
                                 )
-                        continue
-                    kind, w, _gen, ep, body = msg
-                    if ep != epoch or w not in pending:
-                        continue  # straggler from a superseded dispatch
-                    if kind == "hb":
-                        deadlines[w] = time.monotonic() + grace
-                        if status is not None:
-                            status.worker_update(w, phase="running", epoch=ep)
-                    elif kind == "ok":
-                        states[w] = body
-                        pending.discard(w)
-                        deadlines.pop(w, None)
-                        if status is not None:
-                            status.worker_update(
-                                w,
-                                phase="idle",
-                                epoch=ep,
-                                execs=body.inputs_executed,
-                                covered=popcount(body.total_int),
-                                corpus=len(body.corpus),
-                            )
-                    elif kind == "err":
-                        handle_failure(w, epoch, body)
+                        elif kind == "ok":
+                            states[w] = body
+                            if status is not None:
+                                status.worker_update(
+                                    w,
+                                    phase="idle",
+                                    epoch=epoch,
+                                    execs=body.inputs_executed,
+                                    covered=popcount(body.total_int),
+                                    corpus=len(body.corpus),
+                                )
+                        else:
+                            on_failure(w, epoch, body)
                 union_int = 0
                 for state in states:
                     if state is not None:
@@ -746,21 +797,7 @@ class ParallelFuzzer:
                 # fold the workers' private traces into the campaign trace
                 # (the parent's writer stays open — no file juggling)
                 for w in range(workers):
-                    worker_path = _worker_trace_path(trace_path, w)
-                    try:
-                        tel.absorb(read_trace(worker_path))
-                    except TelemetryError as exc:
-                        # a worker that found nothing never opened its
-                        # trace — but record the skip instead of hiding it
-                        tel.emit(
-                            "fault",
-                            kind="trace_io_error",
-                            op="read",
-                            path=worker_path,
-                            error=str(exc),
-                        )
-                        continue
-                    self._unlink_quietly(worker_path)
+                    absorb_trace(tel, _worker_trace_path(trace_path, w))
             tel.span_end(root)
             tel.gauge("campaign.union_covered").set(popcount(union_int))
             if status is not None:

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 from ..cpu import available_cpus
 from ..errors import JobNotFound, JobSpecError, ServiceError
 from ..fuzzing.engine import FuzzerConfig, FuzzState
-from ..fuzzing.parallel import WorkerPool
+from ..fuzzing.parallel import WorkerPool, resolved_config, ship_faults
 from ..telemetry.core import Telemetry
 from ..telemetry.events import read_trace
 from ..telemetry.metrics import (
@@ -50,8 +50,6 @@ from .scheduler import (
     absorb_part,
     build_job_config,
     load_model_schedule,
-    resolved_config,
-    ship_faults,
 )
 from .store import JobStore
 
@@ -428,12 +426,12 @@ class ServiceDaemon:
     def job_failure(
         self, job_id: str, slot: int, epoch: int, reason: str
     ) -> Optional[int]:
-        """Record a worker failure against a job's respawn budget.
+        """Record a failed slice against a job's respawn budget.
 
-        Returns the attempt number when the scheduler should respawn and
-        retry, or ``None`` when the job is failed (budget spent) — in
-        which case every *other* job is unaffected: the pool slot is
-        respawned healthy by the scheduler.
+        Returns the attempt number when the scheduler should retry, or
+        ``None`` when the job is failed (budget spent) — in which case
+        every *other* job is unaffected: the scheduler keeps the pool
+        slot healthy for them.
         """
         with self.lock:
             runner = self.jobs.get(job_id)

@@ -29,6 +29,7 @@ __all__ = [
     "run_compiled",
     "coverage_of",
     "demo_model",
+    "no_inport_model",
     "skip_if_no_cc",
 ]
 
@@ -134,6 +135,13 @@ def demo_model():
     )(go, total)
     b.outport("Mode", chart)
     b.outport("Total", total)
+    return b.build()
+
+
+def no_inport_model():
+    """A well-formed model with nothing to fuzz: ``Fuzzer`` rejects it."""
+    b = ModelBuilder("noin")
+    b.outport("Out", b.const(1))
     return b.build()
 
 

@@ -29,7 +29,7 @@ from repro.fuzzing import Fuzzer, FuzzerConfig
 from repro.fuzzing.parallel import ParallelFuzzer
 from repro.telemetry import Telemetry, read_trace
 
-from conftest import demo_model
+from conftest import demo_model, no_inport_model
 
 import repro.faults.plan as plan_mod
 
@@ -118,16 +118,6 @@ class TestFaultPlan:
             with fault_scope(None):
                 assert should_fire("cache_corrupt") is None
             assert should_fire("cache_corrupt") is not None
-
-    def test_sub_plans_copy_specs_unfired(self):
-        plan = parse_faults("worker_death:times=2,cache_corrupt")
-        sub = plan.for_kinds("worker_death")
-        assert [s.kind for s in sub.specs] == ["worker_death"]
-        sub.specs[0].fired = 2
-        assert plan.specs[0].fired == 0  # no shared firing state
-        assert [s.kind for s in plan.without_kinds("worker_death").specs] == [
-            "cache_corrupt"
-        ]
 
 
 # -------------------------------------------------------------------- #
@@ -363,6 +353,56 @@ class TestWorkerSupervision:
         assert failures and failures[0]["worker"] == 0
         assert "hung" in failures[0]["error"]
         assert [e for e in events if e["ev"] == "worker_respawn"]
+
+    @pytest.mark.parametrize("plan", ["worker_death", "worker_death:worker=1"])
+    def test_worker_fault_fires_once_per_campaign(self, tmp_path, plan):
+        """The parent consumes a spec when it dispatches, so ``times``
+        counts firings per campaign: a bare spec kills one worker once,
+        not every worker in every epoch."""
+        schedule = convert(demo_model())
+        golden, _ = _campaign(schedule, tmp_path, "golden")
+        with fault_scope(parse_faults(plan)):
+            faulted, events = _campaign(schedule, tmp_path, "faulted")
+        failures = [
+            e for e in events
+            if e["ev"] == "fault" and e["kind"] == "worker_failure"
+        ]
+        assert len(failures) == 1
+        assert _suite_digest(faulted.suite) == _suite_digest(golden.suite)
+
+    def test_erroring_slices_degrade_with_the_exception_text(
+        self, tmp_path, capfd
+    ):
+        """A worker whose slice raises answers ``err``: each answer is
+        charged to the slot's budget and retried on the same live
+        process (no ``worker_respawn``), and the campaign that runs out
+        of slots names the exception instead of a process death."""
+        schedule = convert(no_inport_model())
+        trace = str(tmp_path / "err.jsonl")
+        tel = Telemetry(trace_path=trace)
+        config = FuzzerConfig(
+            max_seconds=600.0,
+            max_inputs=60,
+            seed=7,
+            workers=2,
+            sync_rounds=2,
+            max_respawns=1,
+            worker_timeout=1.0,
+        )
+        with pytest.raises(CampaignDegradedError) as err:
+            ParallelFuzzer(schedule, config, telemetry=tel).run()
+        tel.close()
+        assert "FuzzingError" in str(err.value)
+        assert "has no inports" in str(err.value)
+        events = list(read_trace(trace))
+        failures = [
+            e for e in events
+            if e["ev"] == "fault" and e["kind"] == "worker_failure"
+        ]
+        assert len(failures) == 4  # 2 slots x (first try + one retry)
+        assert all("has no inports" in e["error"] for e in failures)
+        assert not [e for e in events if e["ev"] == "worker_respawn"]
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_all_workers_dead_raises_degraded_error(self, tmp_path):
         schedule = convert(demo_model())

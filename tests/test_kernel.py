@@ -406,6 +406,42 @@ class TestWithoutNumpy:
         env = dict(os.environ, PYTHONPATH=SRC)
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    @pytest.mark.parametrize(
+        "config", ["kernel='off'", ""], ids=["kernel_off", "default"]
+    )
+    def test_scalar_fuzzer_leaves_the_kernel_and_numpy_unloaded(
+        self, config
+    ):
+        """Only a Fuzzer that tries the kernel imports it, and numpy with
+        it; the lane ceiling is still enforced without either."""
+        code = (
+            "import sys\n"
+            "from repro.bench import build_schedule\n"
+            "from repro.errors import FuzzingError\n"
+            "from repro.fuzzing import Fuzzer, FuzzerConfig\n"
+            "schedule = build_schedule('AFC')\n"
+            "assert Fuzzer(schedule, FuzzerConfig(%s)).engine == 'scalar'\n"
+            "try:\n"
+            "    Fuzzer(schedule, FuzzerConfig(lanes=257))\n"
+            "except FuzzingError as exc:\n"
+            "    print(exc)\n"
+            "print(sorted(m for m in ('numpy', 'repro.codegen.kernel')\n"
+            "             if m in sys.modules))\n" % config
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "config.lanes must be <= %d, got 257" % MAX_KERNEL_LANES,
+            "[]",
+        ]
+
     def test_no_numpy_host_runs_scalar(self, schedule, tmp_path):
         """numpy unimportable: the scalar campaign is the in-process
         campaign byte for byte, and lanes=64 lands on scalar with one

@@ -37,7 +37,7 @@ import urllib.request
 
 import pytest
 
-from conftest import demo_model
+from conftest import demo_model, no_inport_model, skip_if_no_cc
 from repro import convert, model_from_xml, model_to_xml, save_container
 from repro.errors import JobNotFound
 from repro.faults.plan import fault_scope, parse_faults
@@ -227,6 +227,10 @@ class TestServiceAPI:
             {"model": "CPUTask", "config": {"workers": 2}},
             {"model": "CPUTask", "slice_inputs": 0},
             {"model": "CPUTask", "config": "seed=7"},
+            {"model": "CPUTask", "config": {"kernel": "maybe"}},
+            {"model": "CPUTask", "config": {"lanes": 0}},
+            {"model": "CPUTask", "config": {"level": "gate"}},
+            {"model": "CPUTask", "config": {"lanes": 4, "kernel_threads": 0}},
         ):
             status, body = client.post("/jobs", spec)
             assert status == 400, spec
@@ -429,6 +433,85 @@ class TestConcurrency:
             assert results[seed]["digest"] == standalone_digest(
                 model, seed=seed
             ), "job seed=%d diverged after injected worker deaths" % seed
+
+
+# -------------------------------------------------------------------- #
+# slices that raise: an ``err`` reply is not a process failure
+# -------------------------------------------------------------------- #
+class TestErroringSlices:
+    def test_erroring_job_fails_alone_and_its_worker_lives(self, tmp_path):
+        """A model with no inports passes submission, but the worker's
+        Fuzzer raises on every try.  That job ends failed with the
+        exception text, the valid job beside it on the one slot finishes
+        with its standalone digest, and the worker that replied ``err``
+        is never terminated: the slot keeps its pid throughout."""
+        bad = str(tmp_path / "noin.slxz")
+        save_container(model_to_xml(no_inport_model()), bad)
+        model = demo_slxz(tmp_path)
+        # short wall budgets and respawn budgets, so a pool that wedged
+        # on a terminated worker fails within seconds, not minutes
+        good_config = dict(GOLDEN, seed=7, max_seconds=5.0, max_respawns=0)
+        svc = ServiceDaemon(str(tmp_path / "store"), pool_size=1)
+        svc.start()
+        try:
+            pid = svc.pool.procs[0].pid
+            client = Client(svc.api.url)
+            _, bad_job = client.post(
+                "/jobs",
+                {
+                    "model": bad,
+                    "config": dict(GOLDEN, max_seconds=1.0, max_respawns=1),
+                },
+            )
+            _, good_job = client.post(
+                "/jobs", {"model": model, "config": good_config}
+            )
+            bad_frame = client.wait(bad_job["id"])
+            good_frame = client.wait(good_job["id"])
+            _, result = client.get("/jobs/%s/results" % good_job["id"])
+            assert svc.pool.procs[0].pid == pid
+        finally:
+            svc.stop()
+        assert bad_frame["state"] == "failed"
+        assert bad_frame["respawns"] == 2
+        assert "FuzzingError" in bad_frame["error"]
+        assert "has no inports" in bad_frame["error"]
+        assert good_frame["state"] == "done", good_frame
+        assert result["digest"] == standalone_digest(model, **good_config)
+
+
+# -------------------------------------------------------------------- #
+# the per-model Fuzzer cache of a service worker (known defect)
+# -------------------------------------------------------------------- #
+class TestPerModelFuzzerCache:
+    @skip_if_no_cc
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a service worker caches one Fuzzer per model, built with "
+        "the first job's engine settings (ROADMAP item 2)",
+    )
+    def test_scalar_then_kernel_job_each_match_standalone(self, tmp_path):
+        model = demo_slxz(tmp_path)
+        kernel = {"lanes": 4, "kernel": "on", "kernel_threads": 1}
+        svc = ServiceDaemon(str(tmp_path / "store"), pool_size=1)
+        svc.start()
+        try:
+            client = Client(svc.api.url)
+            digests = []
+            for overrides in ({}, kernel):
+                _, body = client.post(
+                    "/jobs",
+                    {"model": model, "config": dict(GOLDEN, seed=7, **overrides)},
+                )
+                assert client.wait(body["id"])["state"] == "done"
+                _, result = client.get("/jobs/%s/results" % body["id"])
+                digests.append(result["digest"])
+        finally:
+            svc.stop()
+        assert digests == [
+            standalone_digest(model, seed=7),
+            standalone_digest(model, seed=7, **kernel),
+        ]
 
 
 # -------------------------------------------------------------------- #

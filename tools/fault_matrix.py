@@ -107,23 +107,31 @@ def run_mode(mode: str, schedule, goldens, workdir) -> int:
 
     if mode == "worker_death":
         golden = goldens("std", schedule, PROFILE_STD)
-        with fault_scope(parse_faults("worker_death:worker=1:epoch=1")):
-            result, events, _ = run_campaign_traced(
-                schedule, PROFILE_STD, workdir, mode
+        # a pinned site, then a bare spec: the parent consumes a spec when
+        # it dispatches, so either one fires exactly once per campaign
+        for plan, worker in (("worker_death:worker=1:epoch=1", 1), ("worker_death", 0)):
+            print(" plan: %s" % plan)
+            with fault_scope(parse_faults(plan)):
+                result, events, _ = run_campaign_traced(
+                    schedule, PROFILE_STD, workdir, "%s-w%d" % (mode, worker)
+                )
+            failures += not check(
+                "campaign completes full budget",
+                result.inputs_executed == PROFILE_STD["max_inputs"],
             )
-        failures += not check(
-            "campaign completes full budget",
-            result.inputs_executed == PROFILE_STD["max_inputs"],
-        )
-        failures += not check(
-            "merged suite digest matches fault-free golden",
-            suite_digest(result.suite) == golden,
-        )
-        failures += not check(
-            "worker failure + respawn recorded in trace",
-            bool(events_of(events, "fault", kind="worker_failure", worker=1))
-            and bool(events_of(events, "worker_respawn", worker=1)),
-        )
+            failures += not check(
+                "merged suite digest matches fault-free golden",
+                suite_digest(result.suite) == golden,
+            )
+            failures += not check(
+                "worker failure + respawn recorded in trace",
+                bool(events_of(events, "fault", kind="worker_failure", worker=worker))
+                and bool(events_of(events, "worker_respawn", worker=worker)),
+            )
+            failures += not check(
+                "the fault fired exactly once",
+                len(events_of(events, "fault", kind="worker_failure")) == 1,
+            )
 
     elif mode == "slow_exec":
         golden = goldens("fast", schedule, PROFILE_FAST)
