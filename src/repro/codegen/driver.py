@@ -40,13 +40,8 @@ from ..schedule.schedule import Schedule
 __all__ = ["generate_fuzz_driver", "compile_fuzz_driver"]
 
 
-def generate_fuzz_driver(schedule: Schedule, fast: bool = True) -> str:
-    """Render the fuzz driver source for a model's inport layout.
-
-    ``fast=False`` emits the naive Algorithm 1 transcription (per-iteration
-    ``int.from_bytes`` + ``bin().count`` popcount, no memcmp skip) — kept
-    as the honest baseline for the codegen-optimization benchmark.
-    """
+def generate_fuzz_driver(schedule: Schedule) -> str:
+    """Render the fuzz driver source for a model's inport layout."""
     layout = schedule.layout
     n_fields = len(layout.fields)
     field_vars = ["f_%s" % field.name for field in layout.fields]
@@ -62,13 +57,12 @@ def generate_fuzz_driver(schedule: Schedule, fast: bool = True) -> str:
         "def fuzz_test_one_input(program, cov, data, total_int):",
         "    size = len(data)",
         "    data_len = %d  # input bytes required for one iteration" % layout.size,
-        "    program.%s()  # model initialization code" % ("reset" if fast else "init"),
+        "    program.reset()  # model initialization code",
         "    _wd_arm()  # restart the step budget for this input",
         "    metric = 0",
         "    last_int = 0",
+        "    last_bytes = _ZEROS",
     ]
-    if fast:
-        lines.append("    last_bytes = _ZEROS")
     loop = [
         "found_new = False",
         "step = program.step",
@@ -90,44 +84,27 @@ def generate_fuzz_driver(schedule: Schedule, fast: bool = True) -> str:
             loop.append("    if %s != %s:" % (var, var))
             loop.append("        %s = 0.0  # NaN input clamp" % var)
     loop.append("    step(%s)  # model iteration" % ", ".join(field_vars))
-    if fast:
-        loop.extend(
-            [
-                "    i += 1",
-                "    if cov == last_bytes:",
-                "        # probe bytes identical to the previous iteration:",
-                "        # diff and new_bits are both provably zero, skip",
-                "        # the int conversion entirely (memcmp-only path)",
-                "        continue",
-                "    last_bytes = bytes(cov)",
-                '    cur_int = int.from_bytes(cov, "little")',
-                "    new_bits = cur_int & ~total_int",
-                "    if new_bits:",
-                "        found_new = True  # output this input as a test case",
-                "        total_int |= cur_int",
-                "    diff = cur_int ^ last_int",
-                "    if diff:",
-                "        # iteration difference coverage accumulation",
-                "        metric += _popcount(diff)",
-                "    last_int = cur_int",
-            ]
-        )
-    else:
-        loop.extend(
-            [
-                '    cur_int = int.from_bytes(cov, "little")',
-                "    new_bits = cur_int & ~total_int",
-                "    if new_bits:",
-                "        found_new = True  # output this input as a test case",
-                "        total_int |= cur_int",
-                "    diff = cur_int ^ last_int",
-                "    if diff:",
-                "        # iteration difference coverage accumulation",
-                '        metric += bin(diff).count("1")',
-                "    last_int = cur_int",
-                "    i += 1",
-            ]
-        )
+    loop.extend(
+        [
+            "    i += 1",
+            "    if cov == last_bytes:",
+            "        # probe bytes identical to the previous iteration:",
+            "        # diff and new_bits are both provably zero, skip",
+            "        # the int conversion entirely (memcmp-only path)",
+            "        continue",
+            "    last_bytes = bytes(cov)",
+            '    cur_int = int.from_bytes(cov, "little")',
+            "    new_bits = cur_int & ~total_int",
+            "    if new_bits:",
+            "        found_new = True  # output this input as a test case",
+            "        total_int |= cur_int",
+            "    diff = cur_int ^ last_int",
+            "    if diff:",
+            "        # iteration difference coverage accumulation",
+            "        metric += _popcount(diff)",
+            "    last_int = cur_int",
+        ]
+    )
     # the loop runs under a watchdog: on timeout, probes hit before the
     # abort must not be discarded, so the exception carries the folded
     # bitmap (total seen so far | the aborted iteration's partial probes)
@@ -147,11 +124,11 @@ def generate_fuzz_driver(schedule: Schedule, fast: bool = True) -> str:
     return "\n".join(lines)
 
 
-def compile_fuzz_driver(schedule: Schedule, fast: bool = True) -> Callable:
+def compile_fuzz_driver(schedule: Schedule) -> Callable:
     """Compile the generated driver; returns the callable."""
     layout = schedule.layout
     fmt = "<" + "".join(field.dtype.fmt for field in layout.fields)
-    source = generate_fuzz_driver(schedule, fast=fast)
+    source = generate_fuzz_driver(schedule)
     env = {
         "_unpack": struct.Struct(fmt).unpack_from,
         "_ZEROS": bytes(schedule.branch_db.n_probes),

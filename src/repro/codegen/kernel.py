@@ -2051,43 +2051,12 @@ class KernelProgram:
         for handle in self._handles:
             self._klib.lib.kern_reset(handle, self._lanes)
 
-    init = reset
-
     def arm_lanes(self) -> None:
         limit = WATCHDOG.limit
         for handle in self._handles:
             self._klib.lib.kern_arm(
                 handle, self._lanes, -1 if limit is None else int(limit)
             )
-
-    def run(self, n, iters, max_iters, fcols, icols):
-        """Fused whole-batch loop; returns (metric, done, timed_out, cum).
-
-        Synchronous single-state path (block 0 runs all lanes); callers
-        reset/arm first.  The threaded engine goes through
-        :meth:`run_async` instead.
-        """
-        np = _np
-        iters_arr = np.ascontiguousarray(iters, dtype=np.int64)
-        metric = np.zeros(n, dtype=np.int64)
-        done = np.zeros(n, dtype=np.int64)
-        timed = np.zeros(n, dtype=np.uint8)
-        np_probes = self._klib.n_probes
-        cum = np.zeros((n, max(np_probes, 1)), dtype=np.uint8)
-        self._klib.lib.kern_run(
-            self._handle,
-            n,
-            _ptr(iters_arr, ctypes.c_int64),
-            max_iters,
-            _ptr(fcols, ctypes.c_double),
-            _ptr(icols, ctypes.c_int64),
-            n,
-            _ptr(metric, ctypes.c_int64),
-            _ptr(done, ctypes.c_int64),
-            _ptr(timed, ctypes.c_uint8),
-            _ptr(cum, ctypes.c_uint8),
-        )
-        return metric, done, timed, cum[:, :np_probes]
 
     def _run_block(
         self, b, lo, bn, iters_arr, max_iters, fcols, icols, stride,
@@ -2124,9 +2093,12 @@ class KernelProgram:
         """Dispatch ``n`` lanes across the thread blocks; returns a
         ``wait()`` callable yielding ``(metric, done, timed_out, cum)``.
 
-        The watchdog limit is sampled here, on the driving thread, so
-        arming keeps the scalar engine's per-batch semantics.  Output
-        lane order is the input lane order regardless of partition.
+        The one batch path at every thread count: each block resets and
+        arms its own state struct before running (:meth:`_run_block`),
+        so callers do neither.  The watchdog limit is sampled here, on
+        the driving thread, so arming keeps the scalar engine's
+        per-batch semantics.  Output lane order is the input lane order
+        regardless of partition.
         """
         np = _np
         iters_arr = np.ascontiguousarray(iters, dtype=np.int64)
@@ -2522,7 +2494,7 @@ def compile_kernel_fuzz_driver(schedule):
     def fuzz_test_kernel(program, cov, batch, total_int):
         return finish(program, start(program, batch), total_int)
 
-    # the engine's pipelined hot loop drives the two halves directly
+    # the engine's execution loop drives the two halves directly
     fuzz_test_kernel.start = start
     fuzz_test_kernel.finish = finish
     return fuzz_test_kernel

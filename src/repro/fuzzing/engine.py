@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
@@ -327,6 +329,48 @@ class Fuzzer:
                 model=self.schedule.model.name,
             )
 
+    def _executor(self):
+        """One slice's ``(start, finish, kernel program)``.
+
+        ``start(batch)`` takes up to ``lanes`` byte streams and returns a
+        handle; ``finish(handle, total_int)`` returns one ``(metric,
+        found_new, total_int, iterations, timeout_exc)`` tuple per stream,
+        threading ``total_int`` through them in batch order.  The kernel
+        pair is the kernel fuzz driver's own, bound to a fresh
+        :class:`KernelProgram` (coverage lives inside the native kernel);
+        the scalar pair is its one-lane case over the generated driver.
+        """
+        if self.engine == "kernel":
+            kprogram = self._kernel_compiled.instantiate_kernel(
+                self._kernel_lanes, self._kernel_threads
+            )
+            kdriver = self._kernel_driver
+            return (
+                partial(kdriver.start, kprogram),
+                partial(kdriver.finish, kprogram),
+                kprogram,
+            )
+        recorder = CoverageRecorder(self.schedule.branch_db)
+        program, _ = self.compiled.instantiate(recorder)
+        driver = self.driver
+        cov = recorder.curr
+
+        def finish(data: bytes, total_int: int):
+            try:
+                metric, found_new, total_int, iters = driver(
+                    program, cov, data, total_int
+                )
+            except WatchdogTimeout as exc:
+                # LibFuzzer-style timeout crash: the input becomes a
+                # deduplicated artifact and fuzzing goes on — the next
+                # input resets the program and re-arms the budget
+                WATCHDOG.disarm()
+                return [(0, False, exc.partial_total_int, exc.iterations, exc)]
+            return [(metric, found_new, total_int, iters, None)]
+
+        # a one-lane batch's handle is its one input
+        return itemgetter(0), finish, None
+
     def replay_compiled(self) -> CompiledModel:
         """The cached model-level artifact used for suite replay.
 
@@ -404,17 +448,8 @@ class Fuzzer:
         corpus = state.corpus
         suite = state.suite
         timeline = state.timeline
-        recorder = CoverageRecorder(self.schedule.branch_db)
-        kdriver = self._kernel_driver
         lanes = self._kernel_lanes
-        if kdriver is None:
-            program, _ = self.compiled.instantiate(recorder)
-        else:
-            # coverage lives inside the native kernel
-            kprogram = self._kernel_compiled.instantiate_kernel(
-                lanes, self._kernel_threads
-            )
-        driver = self.driver
+        start_batch, finish_batch, kprogram = self._executor()
         crash_store = self.crash_store
         # the generated driver re-arms the budget per input (_wd_arm);
         # configuring here makes that arm a no-op when no budget is set
@@ -476,10 +511,11 @@ class Fuzzer:
         slice_start_iters = state.iterations_executed
         # coalesced kernel-hot-path spans: per-dispatch/fold durations
         # accumulate here and flush as one aggregated span per tick, so
-        # span granularity never costs an event per batch
+        # span granularity never costs an event per batch (kernel only:
+        # a scalar trace carries no kernel spans)
         kspans = (
             {"dispatch_n": 0, "dispatch_s": 0.0, "fold_n": 0, "fold_s": 0.0}
-            if tel_on
+            if tel_on and kprogram is not None
             else None
         )
 
@@ -698,27 +734,28 @@ class Fuzzer:
                 if found_new or added or evicted is not None or now >= next_tick:
                     observe(found_new, added, evicted, now, ops)
 
-        def run_one(data: bytes, parent_density: float, ops=None) -> None:
-            try:
-                metric, found_new, total_int, iters = driver(
-                    program, recorder.curr, data, state.total_int
-                )
-            except WatchdogTimeout as exc:
-                # LibFuzzer-style timeout crash: record the input as a
-                # deduplicated artifact and keep fuzzing — the next input
-                # resets the program and re-arms the budget
-                WATCHDOG.disarm()
-                absorb_timeout(
-                    data,
-                    getattr(exc, "partial_total_int", state.total_int),
-                    getattr(exc, "iterations", 0),
-                    exc,
-                )
-                return
-            absorb(data, parent_density, ops, metric, found_new, total_int, iters)
+        # the one execution loop, for every engine: inputs queue until
+        # ``lanes`` are pending (or a flush), then the batch is started
+        # and later finished and absorbed lane by lane, in submission
+        # order.  With lanes > 1 one batch stays in flight, so mutation +
+        # clamp + packing of batch N+1 overlaps the native execution of
+        # batch N (threads=1 dispatches async too, so suites cannot
+        # depend on the thread count).  At lanes=1 each input is absorbed
+        # before the next is mutated: the scalar engine is that one-lane
+        # case, and the one-lane kernel stays byte-identical to it.
+        max_inflight = 1 if lanes > 1 else 0
+        pending: List = []  # (data, parent_density, ops) awaiting a start
+        inflight: List = []  # started (items, handle) batches
 
-        def absorb_results(items, results) -> None:
-            """Absorb one executed kernel batch lane by lane, in list order."""
+        def finish(items, handle) -> None:
+            """Finish one started batch and absorb it lane by lane."""
+            if kspans is None:
+                results = finish_batch(handle, state.total_int)
+            else:
+                t0 = time.perf_counter()
+                results = finish_batch(handle, state.total_int)
+                kspans["fold_n"] += 1
+                kspans["fold_s"] += time.perf_counter() - t0
             for (data, parent_density, ops), res in zip(items, results):
                 metric, found_new, total_int, iters, texc = res
                 if texc is not None:
@@ -729,81 +766,31 @@ class Fuzzer:
                         total_int, iters,
                     )
 
-        # pipelined kernel path: mutation + clamp + column packing of
-        # batch N+1 overlaps the native execution of batch N.  Gated on
-        # lanes > 1 so the lanes=1 kernel stays byte-identical to the
-        # scalar engine (same absorb points), and structurally identical
-        # at every thread count (threads=1 still dispatches async) so
-        # suites cannot depend on the thread count.
-        kstart = kdriver.start if kdriver is not None else None
-        kfinish = kdriver.finish if kdriver is not None else None
-        pipelined = kdriver is not None and lanes > 1
-        inflight: List = []  # at most one (items, handle) batch
-
-        def kernel_finish(items, handle):
-            """One timed kfinish: wait + per-lane fold, span-accounted."""
+        def start_pending() -> None:
+            """Start the queued inputs as one batch; finish what is due."""
+            items = pending[:]
+            del pending[:]
             if kspans is None:
-                absorb_results(items, kfinish(kprogram, handle, state.total_int))
-                return
-            t0 = time.perf_counter()
-            results = kfinish(kprogram, handle, state.total_int)
-            kspans["fold_n"] += 1
-            kspans["fold_s"] += time.perf_counter() - t0
-            absorb_results(items, results)
-
-        def drain_inflight() -> None:
-            while inflight:
-                items, handle = inflight.pop(0)
-                kernel_finish(items, handle)
-
-        def run_batch(items) -> None:
-            """Execute ≤ ``lanes`` inputs on the kernel and absorb each lane.
-
-            ``items`` is a list of ``(data, parent_density, ops)``.  The
-            kernel driver threads ``total_int`` through the lanes in list
-            order, so absorption reproduces the sequential scalar
-            accounting input for input.  On the pipelined path the batch
-            is dispatched asynchronously and the *previous* batch is
-            absorbed instead — absorption order stays the submission
-            order.
-            """
-            if kspans is None:
-                handle = kstart(kprogram, [it[0] for it in items])
+                handle = start_batch([it[0] for it in items])
             else:
                 t0 = time.perf_counter()
-                handle = kstart(kprogram, [it[0] for it in items])
+                handle = start_batch([it[0] for it in items])
                 kspans["dispatch_n"] += 1
                 kspans["dispatch_s"] += time.perf_counter() - t0
-            if not pipelined:
-                kernel_finish(items, handle)
-                return
-            prev = inflight[:]
-            del inflight[:]
-            # snapshot: callers recycle the ``pending`` list in place
-            # (``del pending[:]``) right after dispatch, so holding the
-            # live reference would absorb the *next* batch's items
-            # against this batch's results
-            inflight.append((list(items), handle))
-            for pitems, phandle in prev:
-                kernel_finish(pitems, phandle)
-
-        pending: List = []  # kernel mode: inputs awaiting a batch flush
+            inflight.append((items, handle))
+            while len(inflight) > max_inflight:
+                finish(*inflight.pop(0))
 
         def submit(data: bytes, parent_density: float, ops=None) -> None:
-            """Run one input — immediately (scalar) or via the lane queue."""
-            if kdriver is None:
-                run_one(data, parent_density, ops)
-                return
             pending.append((data, parent_density, ops))
             if len(pending) >= lanes:
-                run_batch(pending)
-                del pending[:]
+                start_pending()
 
         def flush_pending() -> None:
             if pending:
-                run_batch(pending)
-                del pending[:]
-            drain_inflight()
+                start_pending()
+            while inflight:
+                finish(*inflight.pop(0))
 
         def exhausted() -> bool:
             if time.perf_counter() >= deadline:
@@ -906,7 +893,7 @@ class Fuzzer:
                     block_busy_s=busy,
                     utilization=[round(b / slice_s, 4) for b in busy],
                     stall_s=round(kprogram.stall_s, 6),
-                    pipelined=pipelined,
+                    pipelined=lanes > 1,
                 )
                 tel.gauge("engine.pipeline_stall_s").set(
                     round(kprogram.stall_s, 6)

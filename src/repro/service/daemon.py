@@ -74,7 +74,12 @@ class JobRunner:
         self.state: Optional[FuzzState] = None
         self.status = CampaignStatus()
         self.ring: List[Dict] = []
-        self.respawns = 0
+        #: failed slices charged to the ``max_respawns`` budget, and the
+        #: worker processes restarted for them (an ``err`` reply charges
+        #: the budget but restarts nothing); both continue from the
+        #: record, so a daemon restart keeps the budget spent
+        self.failures: int = record.get("failures", 0)
+        self.respawns: int = record.get("respawns", 0)
         self.cancel_requested = False
         self.full = False
         self.telemetry: Optional[Telemetry] = None
@@ -232,6 +237,7 @@ class ServiceDaemon:
                 "execs": 0,
                 "covered": 0,
                 "cases": 0,
+                "failures": 0,
                 "respawns": 0,
             }
             self.store.save_job(record)
@@ -426,7 +432,8 @@ class ServiceDaemon:
     def job_failure(
         self, job_id: str, slot: int, epoch: int, reason: str
     ) -> Optional[int]:
-        """Record a failed slice against a job's respawn budget.
+        """Charge a failed slice to the job's ``failures`` budget
+        (``config.max_respawns`` failures are allowed).
 
         Returns the attempt number when the scheduler should retry, or
         ``None`` when the job is failed (budget spent) — in which case
@@ -437,8 +444,8 @@ class ServiceDaemon:
             runner = self.jobs.get(job_id)
             if runner is None:
                 return None
-            runner.respawns += 1
-            runner.record["respawns"] = runner.respawns
+            runner.failures += 1
+            runner.record["failures"] = runner.failures
             self._emit(
                 runner,
                 "fault",
@@ -448,7 +455,7 @@ class ServiceDaemon:
                 epoch=epoch,
                 error=reason,
             )
-            if runner.respawns > runner.config.max_respawns:
+            if runner.failures > runner.config.max_respawns:
                 self._emit(
                     runner,
                     "fault",
@@ -464,7 +471,8 @@ class ServiceDaemon:
                 )
                 self._finish_locked(runner, "failed")
                 return None
-            return runner.respawns
+            self.store.save_job(runner.record)
+            return runner.failures
 
     def job_respawn(
         self, job_id: str, slot: int, epoch: int, attempt: int, backoff: float
@@ -473,6 +481,9 @@ class ServiceDaemon:
             runner = self.jobs.get(job_id)
             if runner is None:
                 return
+            runner.respawns += 1
+            runner.record["respawns"] = runner.respawns
+            self.store.save_job(runner.record)
             self._emit(
                 runner,
                 "worker_respawn",
@@ -482,7 +493,7 @@ class ServiceDaemon:
                 attempt=attempt,
                 backoff_s=round(backoff, 3),
             )
-            runner.status.update(phase="respawning", respawns=attempt)
+            runner.status.update(phase="respawning", respawns=runner.respawns)
 
     def job_heartbeat(self, job_id: str, slot: int) -> None:
         with self.lock:

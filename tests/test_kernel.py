@@ -31,6 +31,7 @@ import pytest
 import repro.codegen.kernel as kernel_mod
 from conftest import demo_model, skip_if_no_cc
 from repro import CoverageRecorder, ModelBuilder, compile_model, convert
+from repro.bench.registry import build_schedule, model_names
 from repro.codegen.cache import CompileCache, cache_key
 from repro.codegen.driver import compile_fuzz_driver
 from repro.codegen.kernel import (
@@ -54,9 +55,17 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
+#: the engine-parity gates run on the demo model and every bench model
+GATE_MODELS = ["demo"] + list(model_names())
+
+
 @pytest.fixture(scope="module")
 def schedule():
     return convert(demo_model())
+
+
+def gate_schedule(name):
+    return convert(demo_model()) if name == "demo" else build_schedule(name)
 
 
 @pytest.fixture(autouse=True)
@@ -102,12 +111,19 @@ def suite_digest(suite) -> str:
     return h.hexdigest()
 
 
-def run_config(schedule, tmp_path, tag, **kw):
+def run_config(schedule, tmp_path, tag, slices=1, **kw):
+    """A traced 300-input campaign at seed 11; with ``slices`` > 1 it
+    runs as that many ``resume`` calls over one state."""
     path = str(tmp_path / ("%s.jsonl" % tag))
     tel = Telemetry(enabled=True, trace_path=path)
     config = FuzzerConfig(max_inputs=300, seed=11, **kw)
     fuzzer = Fuzzer(schedule, config, telemetry=tel)
-    state = fuzzer.run()
+    if slices == 1:
+        state = fuzzer.run()
+    else:
+        state = fuzzer.new_state()
+        for k in range(1, slices + 1):
+            fuzzer.resume(state, max_inputs=300 * k // slices)
     tel.close()
     return fuzzer, state, read_trace(path)
 
@@ -124,12 +140,19 @@ def fallback_events(events):
 # -------------------------------------------------------------------- #
 @skip_if_no_cc
 class TestKernelParity:
-    def test_single_lane_kernel_matches_scalar_suite(self, schedule, tmp_path):
+    @pytest.mark.parametrize("slices", [1, 3], ids=["oneshot", "sliced"])
+    @pytest.mark.parametrize("model", GATE_MODELS)
+    def test_single_lane_kernel_matches_scalar_suite(
+        self, model, slices, tmp_path
+    ):
         """The golden-digest gate: lanes=1 through the native kernel is
-        byte-for-byte the scalar campaign — suite, coverage, count."""
-        fs, st_s, _ = run_config(schedule, tmp_path, "scalar", kernel="off")
-        fk, st_k, _ = run_config(schedule, tmp_path, "kernel",
-                                 lanes=1, kernel="on")
+        byte-for-byte the scalar campaign — suite, coverage, count —
+        whether it runs in one shot or in three resume slices."""
+        schedule = gate_schedule(model)
+        fs, st_s, _ = run_config(schedule, tmp_path, "scalar", slices,
+                                 kernel="off", max_seconds=600.0)
+        fk, st_k, _ = run_config(schedule, tmp_path, "kernel", slices,
+                                 lanes=1, kernel="on", max_seconds=600.0)
         assert fs.engine == "scalar"
         assert fk.engine == "kernel"
         assert st_s.inputs_executed == st_k.inputs_executed
@@ -509,20 +532,20 @@ class TestKernelCache:
 # -------------------------------------------------------------------- #
 @skip_if_no_cc
 class TestKernelDriver:
-    def test_driver_matches_scalar_per_stream_accounting(self, schedule):
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("model", GATE_MODELS)
+    def test_driver_matches_scalar_per_stream_accounting(self, model, threads):
         """Stream-by-stream 5-tuples: metric, found, running total_int,
-        iterations — the same sequential fold the scalar driver does."""
+        iterations — the same sequential fold the scalar driver does, on
+        64 lanes split over every tested thread count."""
         import random
 
-        from repro.codegen.compile import compile_model
-        from repro.codegen.driver import compile_fuzz_driver
-        from repro.errors import WatchdogTimeout
-
+        schedule = gate_schedule(model)
         layout = schedule.layout
         rng = random.Random(99)
         streams = [
             bytes(rng.randrange(256) for _ in range(layout.size * 32))
-            for _ in range(6)
+            for _ in range(64)
         ]
 
         compiled = compile_model(schedule, "model")
@@ -539,15 +562,14 @@ class TestKernelDriver:
             running = r[2]
             want.append(r)
 
-        ck = compile_kernel(schedule, "model", cache=False)
+        ck = compile_kernel(schedule, "model")
         kdriver = compile_kernel_fuzz_driver(schedule)
-        kprog = ck.instantiate_kernel(8)
+        kprog = ck.instantiate_kernel(64, threads)
         got = kdriver(kprog, None, streams, 0)
         assert len(got) == len(want)
         for w, g in zip(want, got):
             assert g[4] is None
             assert tuple(g[:4]) == tuple(w[:4])
-
 
     def test_driver_matches_scalar_on_ragged_batch(self, schedule):
         """Same streams, same order ⇒ same per-input driver results —
@@ -597,12 +619,14 @@ class TestKernelThreading:
     states — two kernel states driven concurrently may never observe
     each other."""
 
-    def test_thread_counts_produce_identical_suites(self, schedule, tmp_path):
+    @pytest.mark.parametrize("model", GATE_MODELS)
+    def test_thread_counts_produce_identical_suites(self, model, tmp_path):
+        schedule = gate_schedule(model)
         runs = {}
-        for threads in (1, 2, 4):
+        for threads in (1, 2, 4, "auto"):
             fz, st, _ = run_config(
-                schedule, tmp_path, "thr%d" % threads,
-                lanes=32, kernel="on", kernel_threads=threads,
+                schedule, tmp_path, "thr%s" % threads, max_seconds=600.0,
+                lanes=64, kernel="on", kernel_threads=threads,
             )
             assert fz.engine == "kernel"
             runs[threads] = (
@@ -610,7 +634,7 @@ class TestKernelThreading:
                 st.iterations_executed,
                 suite_digest(st.suite),
             )
-        assert runs[1] == runs[2] == runs[4]
+        assert runs[1] == runs[2] == runs[4] == runs["auto"]
 
     def test_auto_honors_env_pin(self, schedule, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")

@@ -429,6 +429,7 @@ class TestConcurrency:
                 svc.stop()
         assert all(f["state"] == "done" for f in frames.values()), frames
         assert sum(f["respawns"] for f in frames.values()) == 3
+        assert sum(f["failures"] for f in frames.values()) == 3
         for seed in seeds:
             assert results[seed]["digest"] == standalone_digest(
                 model, seed=seed
@@ -473,7 +474,9 @@ class TestErroringSlices:
         finally:
             svc.stop()
         assert bad_frame["state"] == "failed"
-        assert bad_frame["respawns"] == 2
+        # two failures spent the budget of one retry; no process restarted
+        assert bad_frame["failures"] == 2
+        assert bad_frame["respawns"] == 0
         assert "FuzzingError" in bad_frame["error"]
         assert "has no inports" in bad_frame["error"]
         assert good_frame["state"] == "done", good_frame
@@ -669,6 +672,54 @@ class TestDurability:
             assert any(e["ev"] == "campaign_end" for e in events)
         finally:
             svc.stop()
+
+    def test_restart_keeps_failure_and_respawn_counts(self, tmp_path):
+        """Two ``running`` jobs recovered with ``failures: 2, respawns:
+        1`` each.  The first job dispatched takes one injected worker
+        death and continues its counts to 3 and 2, so the budget spent
+        before the restart stays spent; the other reads the same counts
+        back.  Both finish with their standalone digests."""
+        store = str(tmp_path / "store")
+        model = demo_slxz(tmp_path)
+        # submitted to a daemon that never starts, then rewound to a
+        # mid-campaign record that has spent part of its budget
+        queued = ServiceDaemon(store, pool_size=1)
+        seeds = {}
+        for seed in (7, 11):
+            spec = {"model": model, "config": dict(GOLDEN, seed=seed)}
+            seeds[queued.submit(spec)] = seed
+        job_store = JobStore(store)
+        for job_id in seeds:
+            record = job_store.load_job(job_id)
+            record.update(state="running", failures=2, respawns=1)
+            job_store.save_job(record)
+        first, second = sorted(seeds)
+        with fault_scope(parse_faults("worker_death:times=1")):
+            svc = ServiceDaemon(store, pool_size=1)
+            svc.start()
+            try:
+                client = Client(svc.api.url)
+                frames = {job_id: client.wait(job_id) for job_id in seeds}
+                digests = {
+                    job_id: client.get("/jobs/%s/results" % job_id)[1][
+                        "digest"
+                    ]
+                    for job_id in seeds
+                }
+            finally:
+                svc.stop()
+        counts = {
+            job_id: (frame["failures"], frame["respawns"])
+            for job_id, frame in frames.items()
+        }
+        assert counts == {first: (3, 2), second: (2, 1)}
+        for job_id, frame in frames.items():
+            assert frame["state"] == "done", frame
+            record = job_store.load_job(job_id)
+            assert (record["failures"], record["respawns"]) == counts[job_id]
+            assert digests[job_id] == standalone_digest(
+                model, seed=seeds[job_id]
+            )
 
     def test_lost_snapshot_restarts_job_to_same_digest(self, tmp_path):
         """A running job whose state.pkl is garbled restarts from scratch
