@@ -6,19 +6,20 @@ assert on the result:
 
 * **execs/s overhead** — the same fixed-budget campaign on the demo
   model, telemetry disabled versus fully enabled (JSONL trace + status
-  lines to a sink); the enabled run must stay within ``--max-overhead``
-  percent (default 3) of the disabled rate.  Variants run as
-  *interleaved off/on pairs* and the gate takes the median pairwise
-  ratio: machine-level drift (frequency scaling, noisy neighbours) hits
-  both halves of a pair alike and cancels, where a best-of-N of
-  separately-run variants would report the drift as overhead;
+  lines to a sink); the enabled arm must stay within ``--max-overhead``
+  percent (default 3) of the disabled one.  Both arms advance in
+  alternating fixed-input ``resume`` slices (0.04-0.4 s as the corpus
+  fills), doing byte-identical work, and the gate compares per-arm
+  total seconds: the host's speed drifts in phases (frequency scaling,
+  noisy neighbours) that a slice pair shares, where whole 1-2 s
+  campaigns run one after the other land in different phases;
 * **byte identity** — with telemetry fully enabled, the generated suites
   must still hash to the golden SHA-256 digests recorded in
   ``tests/test_parallel.py``: observability never touches the RNG stream
   or the corpus decisions;
 * the enabled run's campaign trace is validated event by event and kept
   (``--trace``) so the gate doubles as a trace-format smoke test;
-* **kernel path** — the same off/on pairwise gate on the lane-parallel
+* **kernel path** — the same sliced off/on gate on the lane-parallel
   backend (``lanes=8``, ``kernel_threads=2``) with the FULL
   observability stack enabled (trace + stats + span events + a live
   metrics server being scraped): overhead stays within budget and the
@@ -39,6 +40,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_ROOT, "src"))
@@ -55,62 +57,104 @@ from test_parallel import TestDeterminismRegression, _suite_digest  # noqa: E402
 GOLDEN = TestDeterminismRegression.GOLDEN
 
 DEFAULT_MAX_OVERHEAD_PCT = 3.0
-RATE_INPUTS = 8000  # fixed budget per run: ~1s, long enough to average
-RATE_PAIRS = 5      # scheduler hiccups over runs this short
+RATE_INPUTS = 8000  # inputs per off/on campaign pair: ~1-2 s per arm
+RATE_PAIRS = 5      # campaign pairs summed into each arm's total
+SLICE_INPUTS = 500  # inputs per resume slice: 0.04-0.4 s on a 2-vCPU host
+
+
+def _scalar_config(seed, max_inputs):
+    return FuzzerConfig(max_seconds=600.0, max_inputs=max_inputs, seed=seed)
 
 
 def _run(schedule, seed, max_inputs, telemetry):
-    config = FuzzerConfig(max_seconds=600.0, max_inputs=max_inputs, seed=seed)
-    return Fuzzer(schedule, config, telemetry=telemetry).run()
+    return Fuzzer(
+        schedule, _scalar_config(seed, max_inputs), telemetry=telemetry
+    ).run()
 
 
-def _run_enabled(schedule, max_inputs):
+def _full_telemetry(path):
+    return Telemetry(
+        enabled=True,
+        trace_path=path,
+        stats_stream=io.StringIO(),
+        stats_interval=0.25,
+    )
+
+
+def _interleaved(off, on, max_inputs):
+    """Run the ``off`` and ``on`` Fuzzers over ``max_inputs`` in
+    alternating fixed-input ``resume`` slices; returns the per-arm total
+    seconds and the two final states.
+
+    The arms differ only in telemetry, so each slice does byte-identical
+    work on both.  Each slice pair runs back to back (which arm goes
+    first alternates), so both halves of a pair see one host speed
+    phase, and the totals weigh every phase by how long it lasted.
+    """
+    arms = (off, on)
+    states = [off.new_state(), on.new_state()]
+    seconds = [0.0, 0.0]
+    for k, cap in enumerate(range(SLICE_INPUTS, max_inputs + SLICE_INPUTS,
+                                  SLICE_INPUTS)):
+        for arm in ((0, 1) if k % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            arms[arm].resume(states[arm], max_inputs=min(cap, max_inputs))
+            seconds[arm] += time.perf_counter() - t0
+    return seconds, states
+
+
+def _totals(per_pair, max_inputs):
+    """Overhead of the summed on-arm seconds over the summed off-arm
+    seconds, plus each pair's own figure for the record."""
+    off = sum(s[0] for s in per_pair)
+    on = sum(s[1] for s in per_pair)
+    inputs = max_inputs * len(per_pair)
+    return {
+        "execs_per_s_off": round(inputs / off, 1),
+        "execs_per_s_on": round(inputs / on, 1),
+        "pair_overheads_pct": [
+            round((s[1] / s[0] - 1.0) * 100.0, 2) for s in per_pair
+        ],
+        "overhead_pct": round((on / off - 1.0) * 100.0, 2),
+    }
+
+
+def _scalar_pair(schedule, max_inputs):
+    """One off/on campaign pair in alternating slices, the on arm with
+    a JSONL trace and status lines."""
     fd, path = tempfile.mkstemp(suffix=".jsonl", prefix="repro_tel_")
     os.close(fd)
     try:
-        tel = Telemetry(
-            enabled=True,
-            trace_path=path,
-            stats_stream=io.StringIO(),
-            stats_interval=0.25,
+        tel = _full_telemetry(path)
+        off = Fuzzer(
+            schedule, _scalar_config(7, max_inputs),
+            telemetry=Telemetry(enabled=False),
         )
-        result = _run(schedule, 7, max_inputs, tel)
+        on = Fuzzer(schedule, _scalar_config(7, max_inputs), telemetry=tel)
+        seconds, states = _interleaved(off, on, max_inputs)
         tel.close()
     finally:
         os.unlink(path)
-    return result
+    return seconds, states
 
 
 def bench_overhead(schedule, pairs=RATE_PAIRS, max_inputs=RATE_INPUTS):
-    """Median pairwise overhead, telemetry off vs fully on per pair.
+    """Telemetry off vs fully on, as per-arm total seconds over
+    ``pairs`` campaigns run in alternating slices (:func:`_interleaved`).
 
-    Pair order alternates (off-first, then on-first) so warm-cache and
-    frequency-ramp position effects cancel across the median too.
+    Both arms warm up first, so one-time costs (imports, first trace
+    writes) stay out of the totals.
     """
-    ratios = []
-    rates_off = []
-    rates_on = []
-    _run(schedule, 7, max_inputs, Telemetry(enabled=False))  # warm-up
-    for i in range(pairs):
-        if i % 2 == 0:
-            off = _run(schedule, 7, max_inputs, Telemetry(enabled=False))
-            on = _run_enabled(schedule, max_inputs)
-        else:
-            on = _run_enabled(schedule, max_inputs)
-            off = _run(schedule, 7, max_inputs, Telemetry(enabled=False))
-        rates_off.append(off.execs_per_second)
-        rates_on.append(on.execs_per_second)
-        if off.execs_per_second:
-            ratios.append(on.execs_per_second / off.execs_per_second)
-    ratios.sort()
-    median_ratio = ratios[len(ratios) // 2] if ratios else 1.0
-    overhead_pct = (1.0 - median_ratio) * 100.0
-    return {
-        "execs_per_s_off": round(max(rates_off), 1),
-        "execs_per_s_on": round(max(rates_on), 1),
-        "pair_overheads_pct": [round((1.0 - r) * 100.0, 2) for r in ratios],
-        "overhead_pct": round(overhead_pct, 2),
-    }
+    _scalar_pair(schedule, SLICE_INPUTS)  # warm-up of both arms
+    per_pair = []
+    digests = set()
+    for _ in range(pairs):
+        seconds, states = _scalar_pair(schedule, max_inputs)
+        per_pair.append(seconds)
+        digests.update(_suite_digest(st.suite) for st in states)
+    result = _totals(per_pair, max_inputs)
+    result["digests_identical"] = len(digests) == 1
+    return result
 
 
 def _kernel_config(seed, max_inputs):
@@ -124,15 +168,10 @@ def _kernel_config(seed, max_inputs):
     )
 
 
-def _run_kernel_off(schedule, max_inputs):
-    fuzzer = Fuzzer(
-        schedule, _kernel_config(7, max_inputs), telemetry=Telemetry(enabled=False)
-    )
-    return fuzzer.run()
-
-
-def _run_kernel_on(schedule, max_inputs):
-    """The full stack: JSONL trace, status lines, spans, live HTTP scrape."""
+def _kernel_pair(schedule, max_inputs):
+    """One off/on kernel campaign pair in alternating slices, the on arm
+    with the full stack: JSONL trace, status lines, spans, and a live
+    metrics server that is scraped before it stops."""
     import urllib.request
 
     from repro.telemetry.metrics import parse_exposition
@@ -141,15 +180,14 @@ def _run_kernel_on(schedule, max_inputs):
     fd, path = tempfile.mkstemp(suffix=".jsonl", prefix="repro_tel_k_")
     os.close(fd)
     try:
-        tel = Telemetry(
-            enabled=True,
-            trace_path=path,
-            stats_stream=io.StringIO(),
-            stats_interval=0.25,
+        tel = _full_telemetry(path)
+        off = Fuzzer(
+            schedule, _kernel_config(7, max_inputs),
+            telemetry=Telemetry(enabled=False),
         )
-        fuzzer = Fuzzer(schedule, _kernel_config(7, max_inputs), telemetry=tel)
+        on = Fuzzer(schedule, _kernel_config(7, max_inputs), telemetry=tel)
         with MetricsServer(tel) as server:
-            result = fuzzer.run()
+            seconds, states = _interleaved(off, on, max_inputs)
             # a real scrape while the server is live: the exposition must
             # parse and carry the engine gauges the kernel path maintains
             with urllib.request.urlopen(server.url + "/metrics", timeout=5) as r:
@@ -162,53 +200,38 @@ def _run_kernel_on(schedule, max_inputs):
         spans = sum(1 for e in events if e.get("ev") == "span")
     finally:
         os.unlink(path)
-    return result, spans
+    return seconds, states, spans
 
 
 def bench_kernel(schedule, pairs=RATE_PAIRS, max_inputs=RATE_INPUTS):
-    """Off/on pairwise overhead + identity on the lane-parallel backend.
+    """Off/on overhead + identity on the lane-parallel backend, timed as
+    :func:`bench_overhead` times the scalar path.
 
     Identity compares off-vs-on digests of the *same* kernel config (the
     scalar golden table doesn't apply: lanes>1 legitimately schedules the
     corpus differently), so the guarantee is exactly "observability never
     perturbs the suite".  Returns ``None`` when only the scalar engine is
-    available (no C compiler or no numpy) — the caller reports a skip.
+    available (no C compiler) — the caller reports a skip.
     """
     probe = Fuzzer(schedule, _kernel_config(7, 1), telemetry=Telemetry(enabled=False))
     if probe.engine == "scalar":
         return None
-    ratios = []
-    rates_off = []
-    rates_on = []
-    digests_off = set()
-    digests_on = set()
+    per_pair = []
+    digests = set()
     span_counts = []
-    _run_kernel_off(schedule, max_inputs)  # warm-up (incl. kernel cc)
-    for i in range(pairs):
-        if i % 2 == 0:
-            off = _run_kernel_off(schedule, max_inputs)
-            on, spans = _run_kernel_on(schedule, max_inputs)
-        else:
-            on, spans = _run_kernel_on(schedule, max_inputs)
-            off = _run_kernel_off(schedule, max_inputs)
-        rates_off.append(off.execs_per_second)
-        rates_on.append(on.execs_per_second)
+    _kernel_pair(schedule, SLICE_INPUTS)  # warm-up of both arms
+    for _ in range(pairs):
+        seconds, states, spans = _kernel_pair(schedule, max_inputs)
+        per_pair.append(seconds)
         span_counts.append(spans)
-        digests_off.add(_suite_digest(off.suite))
-        digests_on.add(_suite_digest(on.suite))
-        if off.execs_per_second:
-            ratios.append(on.execs_per_second / off.execs_per_second)
-    ratios.sort()
-    median_ratio = ratios[len(ratios) // 2] if ratios else 1.0
-    return {
-        "backend": probe.engine,
-        "execs_per_s_off": round(max(rates_off), 1),
-        "execs_per_s_on": round(max(rates_on), 1),
-        "pair_overheads_pct": [round((1.0 - r) * 100.0, 2) for r in ratios],
-        "overhead_pct": round((1.0 - median_ratio) * 100.0, 2),
-        "span_events": max(span_counts),
-        "digests_identical": digests_off == digests_on and len(digests_off) == 1,
-    }
+        digests.update(_suite_digest(st.suite) for st in states)
+    result = _totals(per_pair, max_inputs)
+    result.update(
+        backend=probe.engine,
+        span_events=max(span_counts),
+        digests_identical=len(digests) == 1,
+    )
+    return result
 
 
 def bench_byte_identity(schedule, trace_path):
@@ -251,11 +274,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--inputs", type=int, default=RATE_INPUTS,
-        help="inputs per rate measurement (default %d)" % RATE_INPUTS,
+        help="inputs per campaign (default %d)" % RATE_INPUTS,
     )
     parser.add_argument(
         "--pairs", type=int, default=RATE_PAIRS,
-        help="interleaved off/on measurement pairs (default %d)" % RATE_PAIRS,
+        help="off/on campaign pairs summed per arm (default %d)" % RATE_PAIRS,
     )
     parser.add_argument("--json", help="write the results as JSON to this path")
     parser.add_argument(
@@ -268,7 +291,7 @@ def main(argv=None) -> int:
 
     overhead = bench_overhead(schedule, args.pairs, args.inputs)
     print(
-        "execs/s: off %.0f  on %.0f  median pairwise overhead %.2f%% "
+        "execs/s: off %.0f  on %.0f  overhead %.2f%% over per-arm totals "
         "(budget %.1f%%, pairs: %s)"
         % (
             overhead["execs_per_s_off"],
@@ -309,11 +332,11 @@ def main(argv=None) -> int:
 
     kernel = bench_kernel(schedule, args.pairs, args.inputs)
     if kernel is None:
-        print("kernel path: skipped (no native kernel or numpy backend here)")
+        print("kernel path: skipped (no native kernel here)")
     else:
         print(
             "kernel path (%s, lanes=8, threads=2, full stack): off %.0f  "
-            "on %.0f  median pairwise overhead %.2f%%  span events %d  "
+            "on %.0f  overhead %.2f%% over per-arm totals  span events %d  "
             "off/on suites identical: %s"
             % (
                 kernel["backend"],
@@ -337,6 +360,9 @@ def main(argv=None) -> int:
             "FAIL: telemetry overhead %.2f%% > %.1f%%"
             % (overhead["overhead_pct"], args.max_overhead)
         )
+        ok = False
+    if not overhead["digests_identical"]:
+        print("FAIL: suite bytes changed with telemetry on")
         ok = False
     for row in identity:
         if not row["digest_ok"]:

@@ -437,8 +437,8 @@ def main(argv=None) -> int:
         default=1,
         metavar="N",
         help="lane-parallel execution: step N inputs per call through "
-        "the native kernel (max 256; needs a C compiler and numpy, "
-        "else the campaign runs scalar); 'auto' = 64 unless "
+        "the native kernel (max 256; needs a C compiler, else the "
+        "campaign runs scalar); 'auto' = 64 unless "
         "--kernel off; default 1 = the scalar engine",
     )
     p.add_argument(

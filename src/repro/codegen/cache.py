@@ -137,10 +137,11 @@ def cache_key(
     model,
     level: str,
     optimize: bool,
-    kernel: bool = False,
+    kernel: int = 0,
 ) -> str:
     """SHA-256 key for one (model, level, optimize, backend, generator)
-    variant — ``kernel`` selects the native backend's slot.
+    variant — ``kernel`` is 0 for the Python artifacts and the native
+    backend's ABI version for its slot, so an ABI bump misses cleanly.
 
     Raises :class:`Uncacheable` for models whose parameters cannot be
     serialized deterministically.
@@ -150,7 +151,7 @@ def cache_key(
             canonical_model_form(model),
             "level=%s" % level,
             "optimize=%d" % bool(optimize),
-            "kernel=%d" % bool(kernel),
+            "kernel=%d" % kernel,
             "codegen=%s" % CODEGEN_VERSION,
         )
     )

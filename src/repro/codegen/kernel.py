@@ -5,31 +5,29 @@ optimized* generated module is lowered to one C translation unit whose
 ``lane_step`` runs a whole model iteration for one lane — real branches,
 probe writes as byte stores, watchdog ticks and the
 ``safe_div``/``safe_mod`` totality semantics inlined — and ``kern_run``
-fuses the entire per-input fuzz loop (unpack → step → coverage delta
-accounting) into a single native call per batch.  Where the scalar
-engine pays one Python ``step`` call per tuple, the kernel pays one
-ctypes crossing per *batch*.
+fuses the entire per-input fuzz loop (decode → step → coverage delta
+accounting) into a single native call per batch.  Inputs cross into C
+as raw bytes: each lane's byte stream is split into tuples and every
+inport field is loaded at its tuple offset in C, as the paper's fuzz
+driver does (§3.1.1, Fig. 3).  Where the scalar engine pays one Python
+``step`` call per tuple, the kernel pays one ctypes crossing per
+*batch*.
 
 Semantics contract: a lane must behave bit-for-bit like the scalar
 driver running the same byte stream, gated by the lane-by-lane
-differential sweep in ``tests/modelgen.py``.  Two deliberate
-exceptions:
-
-* ``_w_single`` saturates finite float32 overflow to ``inf`` where the
-  scalar runtime raises ``OverflowError`` — the one known kernel/scalar
-  divergence (ROADMAP item 4c), unreached by the differential sweep;
-* MCDC truth vectors are not recorded; campaigns that need MCDC stay on
-  the scalar path (replay always runs scalar).
+differential sweep in ``tests/modelgen.py``.  One deliberate
+exception: MCDC truth vectors are not recorded; campaigns that need
+MCDC stay on the scalar path (replay always runs scalar).
 
 Models using constructs the lowering cannot prove bit-exact raise
 :class:`Unloweable`; the engine catches it and degrades to the scalar
 engine, loudly, via a ``fault`` telemetry event.
 
-numpy is a soft dependency: importing this module without it is fine,
-but building a kernel fuzz driver raises :class:`KernelBuildError`.
-
 Bit-exactness notes baked into the emitter:
 
+* inport fields load little-endian (the build refuses a big-endian
+  host); integers widen to ``int64_t``, a boolean is ``!= 0`` and a
+  float NaN becomes 0.0, the scalar driver's decode;
 * every Python int is carried as ``int64_t``; the type inference below
   tracks a conservative magnitude *width* (``|v| <= 2**w``) and an
   *exact* bit per expression.  Inexact values (correct modulo 2**64
@@ -59,14 +57,11 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-try:  # soft dependency: the scalar engine must keep working without numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None
-
 from ..cpu import MAX_KERNEL_LANES
+from ..dtypes import ALL_DTYPES
 from ..errors import CodegenError
 from ..faults.plan import should_fire as _should_fire
 from ..faults.watchdog import WATCHDOG, WatchdogTimeout
@@ -80,7 +75,6 @@ __all__ = [
     "KernelBuildError",
     "find_cc",
     "have_cc",
-    "have_numpy",
     "lower_kernel_source",
     "compile_kernel",
     "compile_kernel_fuzz_driver",
@@ -88,11 +82,15 @@ __all__ = [
     "KernelProgram",
 ]
 
-#: bumped whenever the emitted C ABI (symbol set / layouts) changes; a
-#: cached .so with a different ABI is quarantined, not loaded.  v2 added
-#: the ``stride`` parameter to ``kern_run`` so disjoint lane blocks can
-#: execute as zero-copy views over one shared column array.
-KERNEL_ABI_VERSION = 2
+#: bumped whenever the emitted C ABI (symbol set / layouts) changes; it
+#: is part of the kernel's cache key, and a loaded .so stamped with
+#: another ABI is quarantined.  v3 passes inputs as raw bytes: one
+#: joined buffer plus per-lane byte offsets and tuple counts, decoded
+#: in C at each field's tuple offset.
+KERNEL_ABI_VERSION = 3
+
+#: per-field dtype codes as ``kern_field_dtypes`` bakes them in
+_DTYPE_CODES = {dt.name: code for code, dt in enumerate(ALL_DTYPES)}
 
 
 class Unloweable(CodegenError):
@@ -123,11 +121,6 @@ def find_cc() -> Optional[str]:
 
 def have_cc() -> bool:
     return find_cc() is not None
-
-
-def have_numpy() -> bool:
-    """Whether the kernel driver can marshal inputs (numpy importable)."""
-    return _np is not None
 
 
 # --------------------------------------------------------------------- #
@@ -1272,9 +1265,6 @@ class _Lowering:
         np_ = self.n_probes
         n_out = len(self.out_types)
         n_fields = len(self.fields)
-        field_kinds = [
-            1 if f.dtype.is_float else 0 for f in self.fields
-        ]
         out_kinds = [0 if _is_int(t) else 1 for t in self.out_types]
 
         parts: List[str] = [_C_PRELUDE]
@@ -1283,6 +1273,7 @@ class _Lowering:
         parts.append("#define KMAX %d" % MAX_KERNEL_LANES)
         parts.append("#define NOUT %d" % n_out)
         parts.append("#define NOUTA %d" % max(n_out, 1))
+        parts.append("#define TUPLE %d" % self.schedule.layout.size)
         parts.append("")
         parts.extend(self._lut_decls)
         parts.append("")
@@ -1304,16 +1295,20 @@ class _Lowering:
         parts.append("} Model;")
         parts.append("")
         parts.append(
-            "EXPORT const int64_t kern_meta[5] = "
-            "{%d, NP, NOUT, %d, KMAX};" % (KERNEL_ABI_VERSION, n_fields)
+            "EXPORT const int64_t kern_meta[6] = "
+            "{%d, NP, NOUT, %d, KMAX, TUPLE};" % (KERNEL_ABI_VERSION, n_fields)
         )
         parts.append(
             "EXPORT const uint8_t kern_out_kinds[NOUTA] = {%s};"
             % (", ".join(str(k) for k in out_kinds) or "0")
         )
         parts.append(
-            "EXPORT const uint8_t kern_field_kinds[%d] = {%s};"
-            % (max(n_fields, 1), ", ".join(str(k) for k in field_kinds) or "0")
+            "EXPORT const uint8_t kern_field_dtypes[%d] = {%s};"
+            % (
+                max(n_fields, 1),
+                ", ".join(str(_DTYPE_CODES[f.dtype.name]) for f in self.fields)
+                or "0",
+            )
         )
         parts.append("")
         parts.append("EXPORT Model* kern_new(void) {")
@@ -1382,31 +1377,40 @@ class _Lowering:
         parts.append("}")
         parts.append("")
 
-        # --- fused whole-batch loop ----------------------------------- #
-        step_args = []
-        for fi, name in enumerate(self.arg_names):
-            t = self.arg_types[name]
-            src = "fcols" if not _is_int(t) else "icols"
-            step_args.append(
-                "%s[((int64_t)%d * max_iters + t) * stride + l]" % (src, fi)
-            )
-        # `stride` is the lane count of the *whole* batch; a thread block
-        # running lanes [lo, lo+n) passes column pointers pre-offset by
-        # lo and keeps the full-batch stride, so disjoint blocks read the
-        # one shared column array without any per-block repacking
+        # --- the one input decode -------------------------------------- #
+        # the fuzz driver's memcpy of each inport field at its tuple
+        # offset (paper Fig. 3), with the scalar driver's rules
         parts.append(
-            "EXPORT void kern_run(Model* m, int64_t n, const int64_t* iters,\n"
-            "                     int64_t max_iters, const double* fcols,\n"
-            "                     const int64_t* icols, int64_t stride,\n"
+            "static int step_tuple(Model* m, int64_t l, const uint8_t* in,\n"
+            "                      uint8_t* cov, int64_t* io, double* dob) {"
+        )
+        parts.append("    (void)in;")
+        parts.append(
+            "    return lane_step(m, l, cov%s, io, dob);"
+            % "".join(
+                ", ld_%s(in + %d)" % (f.dtype.name, f.offset)
+                for f in self.fields
+            )
+        )
+        parts.append("}")
+        parts.append("")
+
+        # --- fused whole-batch loop ----------------------------------- #
+        # lane l decodes iters[l] tuples from data + offs[l]; a thread
+        # block running lanes [lo, lo+n) passes the per-lane pointers
+        # pre-offset by lo, so disjoint blocks share every buffer
+        parts.append(
+            "EXPORT void kern_run(Model* m, int64_t n, const uint8_t* data,\n"
+            "                     const int64_t* offs, const int64_t* iters,\n"
             "                     int64_t* metric, int64_t* done,\n"
             "                     uint8_t* timed_out, uint8_t* cum) {"
         )
         parts.append("    int64_t l, t; int p;")
         parts.append("    int64_t io[NOUTA]; double dob[NOUTA];")
-        parts.append("    (void)fcols; (void)icols; (void)max_iters; (void)stride;")
         parts.append("    for (l = 0; l < n; l++) {")
         parts.append("        int64_t met = 0;")
         parts.append("        uint8_t* cm = cum + l * NP;")
+        parts.append("        const uint8_t* in = data + offs[l];")
         parts.append("        int64_t ni = iters[l];")
         parts.append("        memset(m->prev, 0, NP);")
         parts.append("        done[l] = ni; timed_out[l] = 0;")
@@ -1414,8 +1418,7 @@ class _Lowering:
         parts.append("            int rc;")
         parts.append("            memset(m->cur, 0, NP);")
         parts.append(
-            "            rc = lane_step(m, l, m->cur%s, io, dob);"
-            % ("".join(", " + a for a in step_args))
+            "            rc = step_tuple(m, l, in + t * TUPLE, m->cur, io, dob);"
         )
         parts.append("            if (rc) {")
         parts.append(
@@ -1441,26 +1444,19 @@ class _Lowering:
         parts.append("")
 
         # --- per-step entry (differential harness) -------------------- #
-        row_args = []
-        for fi, name in enumerate(self.arg_names):
-            t = self.arg_types[name]
-            src = "fvals" if not _is_int(t) else "ivals"
-            row_args.append("%s[%d * n + l]" % (src, fi))
         parts.append(
             "EXPORT void kern_step(Model* m, int64_t n, const uint8_t* act,\n"
-            "                      const double* fvals, const int64_t* ivals,\n"
-            "                      uint8_t* covout, int64_t* iouts,\n"
-            "                      double* douts, uint8_t* status) {"
+            "                      const uint8_t* rows, uint8_t* covout,\n"
+            "                      int64_t* iouts, double* douts,\n"
+            "                      uint8_t* status) {"
         )
         parts.append("    int64_t l;")
-        parts.append("    (void)fvals; (void)ivals;")
         parts.append("    for (l = 0; l < n; l++) {")
         parts.append("        if (!act[l]) { status[l] = 2; continue; }")
         parts.append("        memset(covout + l * NP, 0, NP);")
         parts.append(
-            "        status[l] = (uint8_t)lane_step(m, l, covout + l * NP%s, "
-            "iouts + l * NOUT, douts + l * NOUT);"
-            % ("".join(", " + a for a in row_args))
+            "        status[l] = (uint8_t)step_tuple(m, l, rows + l * TUPLE, "
+            "covout + l * NP, iouts + l * NOUT, douts + l * NOUT);"
         )
         parts.append("    }")
         parts.append("}")
@@ -1479,6 +1475,37 @@ _C_PRELUDE = r"""/* generated by repro.codegen.kernel — do not edit */
 #else
 #define EXPORT __attribute__((visibility("default")))
 #endif
+
+/* input tuples are packed little-endian (TupleLayout, struct "<") */
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the kernel decodes little-endian input tuples: little-endian host only"
+#endif
+
+/* inport field loads, the scalar fuzz driver's decode: integers widen
+ * to int64, a boolean is != 0, a float NaN becomes 0.0 */
+static inline int64_t ld_int8(const uint8_t* p) {
+    int8_t v; memcpy(&v, p, 1); return v;
+}
+static inline int64_t ld_int16(const uint8_t* p) {
+    int16_t v; memcpy(&v, p, 2); return v;
+}
+static inline int64_t ld_int32(const uint8_t* p) {
+    int32_t v; memcpy(&v, p, 4); return v;
+}
+static inline int64_t ld_uint8(const uint8_t* p) { return p[0]; }
+static inline int64_t ld_uint16(const uint8_t* p) {
+    uint16_t v; memcpy(&v, p, 2); return v;
+}
+static inline int64_t ld_uint32(const uint8_t* p) {
+    uint32_t v; memcpy(&v, p, 4); return v;
+}
+static inline int64_t ld_boolean(const uint8_t* p) { return p[0] != 0; }
+static inline double ld_single(const uint8_t* p) {
+    float v; memcpy(&v, p, 4); return v != v ? 0.0 : (double)v;
+}
+static inline double ld_double(const uint8_t* p) {
+    double v; memcpy(&v, p, 8); return v != v ? 0.0 : v;
+}
 
 /* int arithmetic wraps through uint64 so signed overflow is never UB;
  * the Python emitter tracks which values are exact vs wrapped. */
@@ -1878,90 +1905,56 @@ class _KernelLib:
     def __init__(self, so_path: str):
         self.so_path = so_path
         lib = ctypes.CDLL(so_path)
-        meta = (ctypes.c_int64 * 5).in_dll(lib, "kern_meta")
-        self.abi_version = int(meta[0])
-        self.n_probes = int(meta[1])
-        self.n_out = int(meta[2])
-        self.n_fields = int(meta[3])
-        self.max_lanes = int(meta[4])
-        self.out_kinds = tuple(
-            (ctypes.c_uint8 * max(self.n_out, 1)).in_dll(lib, "kern_out_kinds")
-        )[: self.n_out]
-        self.field_kinds = tuple(
-            (ctypes.c_uint8 * max(self.n_fields, 1)).in_dll(
-                lib, "kern_field_kinds"
-            )
-        )[: self.n_fields]
-        c_i64p = ctypes.POINTER(ctypes.c_int64)
-        c_f64p = ctypes.POINTER(ctypes.c_double)
-        c_u8p = ctypes.POINTER(ctypes.c_uint8)
-        lib.kern_new.restype = ctypes.c_void_p
-        lib.kern_new.argtypes = []
-        lib.kern_free.argtypes = [ctypes.c_void_p]
-        lib.kern_free.restype = None
-        lib.kern_reset.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-        lib.kern_reset.restype = None
-        lib.kern_arm.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_int64,
-            ctypes.c_int64,
-        ]
-        lib.kern_arm.restype = None
-        lib.kern_run.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_int64,
-            c_i64p,
-            ctypes.c_int64,
-            c_f64p,
-            c_i64p,
-            ctypes.c_int64,  # stride: lane count of the whole batch
-            c_i64p,
-            c_i64p,
-            c_u8p,
-            c_u8p,
-        ]
-        lib.kern_run.restype = None
-        lib.kern_step.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_int64,
-            c_u8p,
-            c_f64p,
-            c_i64p,
-            c_u8p,
-            c_i64p,
-            c_f64p,
-            c_u8p,
-        ]
-        lib.kern_step.restype = None
-        self.lib = lib
-
-    def validate_for(self, schedule) -> None:
-        expect_fields = tuple(
-            1 if f.dtype.is_float else 0 for f in schedule.layout.fields
-        )
+        # the stamp comes first: another ABI's meta block may be shorter
+        self.abi_version = ctypes.c_int64.in_dll(lib, "kern_meta").value
         if self.abi_version != KERNEL_ABI_VERSION:
             raise KernelBuildError(
                 "kernel ABI %d != expected %d"
                 % (self.abi_version, KERNEL_ABI_VERSION)
             )
+        meta = (ctypes.c_int64 * 6).in_dll(lib, "kern_meta")
+        self.n_probes = int(meta[1])
+        self.n_out = int(meta[2])
+        self.n_fields = int(meta[3])
+        self.max_lanes = int(meta[4])
+        self.tuple_size = int(meta[5])
+        self.out_kinds = tuple(
+            (ctypes.c_uint8 * max(self.n_out, 1)).in_dll(lib, "kern_out_kinds")
+        )[: self.n_out]
+        self.field_dtypes = tuple(
+            (ctypes.c_uint8 * max(self.n_fields, 1)).in_dll(
+                lib, "kern_field_dtypes"
+            )
+        )[: self.n_fields]
+        vp = ctypes.c_void_p
+        i64 = ctypes.c_int64
+        lib.kern_new.restype = vp
+        lib.kern_new.argtypes = []
+        lib.kern_free.argtypes = [vp]
+        lib.kern_free.restype = None
+        lib.kern_reset.argtypes = [vp, i64]
+        lib.kern_reset.restype = None
+        lib.kern_arm.argtypes = [vp, i64, i64]
+        lib.kern_arm.restype = None
+        # (state, n, data, offs, iters, metric, done, timed_out, cum)
+        lib.kern_run.argtypes = [vp, i64] + [vp] * 7
+        lib.kern_run.restype = None
+        # (state, n, act, rows, covout, iouts, douts, status)
+        lib.kern_step.argtypes = [vp, i64] + [vp] * 6
+        lib.kern_step.restype = None
+        self.lib = lib
+
+    def validate_for(self, schedule) -> None:
+        layout = schedule.layout
         if self.n_probes != schedule.branch_db.n_probes:
             raise KernelBuildError(
                 "kernel probe count %d != schedule %d"
                 % (self.n_probes, schedule.branch_db.n_probes)
             )
-        if self.field_kinds != expect_fields:
-            raise KernelBuildError("kernel field layout mismatch")
-
-
-def _ptr(array, ctype):
-    return array.ctypes.data_as(ctypes.POINTER(ctype))
-
-
-def _ptr_off(array, offset, ctype):
-    """Pointer into ``array`` at element ``offset`` (C-contiguous data)."""
-    return ctypes.cast(
-        array.ctypes.data + offset * array.itemsize, ctypes.POINTER(ctype)
-    )
+        if self.tuple_size != layout.size or self.field_dtypes != tuple(
+            _DTYPE_CODES[f.dtype.name] for f in layout.fields
+        ):
+            raise KernelBuildError("kernel input tuple layout mismatch")
 
 
 class KernelProgram:
@@ -1974,7 +1967,7 @@ class KernelProgram:
     The generated C is per-state reentrant (all mutable state lives in
     the ``Model`` struct; file-level data is ``const``), which the
     reentrancy test in ``tests/test_kernel.py`` pins.  Per-lane results
-    are written to disjoint offsets of shared output arrays, so any
+    are written to disjoint offsets of shared output buffers, so any
     partition yields bit-identical per-lane outputs and the sequential
     Python-side fold is thread-count-invariant.
     """
@@ -2058,56 +2051,56 @@ class KernelProgram:
                 handle, self._lanes, -1 if limit is None else int(limit)
             )
 
-    def _run_block(
-        self, b, lo, bn, iters_arr, max_iters, fcols, icols, stride,
-        metric, done, timed, cum, limit,
-    ):
-        """Reset, arm and run one lane block on its own state struct.
+    def _run_block(self, b, lo, bn, data, offs, iters, outs, limit):
+        """Reset, arm and run lanes ``[lo, lo + bn)`` on block ``b``'s
+        state struct.
 
         Runs on the block's dedicated pool thread; the reset/arm live
         here (not on the driving thread) because the block's previous
         batch may still be executing when the next one is dispatched.
+        Every per-lane buffer is passed from lane ``lo`` on; ``data``
+        and the offsets into it are shared by all blocks.
         """
         lib = self._klib.lib
         handle = self._handles[b]
-        np_row = cum.shape[1]
+        metric, done, timed, cum = outs
         t0 = time.perf_counter()
         lib.kern_reset(handle, bn)
         lib.kern_arm(handle, bn, -1 if limit is None else int(limit))
         lib.kern_run(
             handle,
             bn,
-            _ptr_off(iters_arr, lo, ctypes.c_int64),
-            max_iters,
-            _ptr_off(fcols, lo, ctypes.c_double),
-            _ptr_off(icols, lo, ctypes.c_int64),
-            stride,
-            _ptr_off(metric, lo, ctypes.c_int64),
-            _ptr_off(done, lo, ctypes.c_int64),
-            _ptr_off(timed, lo, ctypes.c_uint8),
-            _ptr_off(cum, lo * np_row, ctypes.c_uint8),
+            data,
+            ctypes.byref(offs, 8 * lo),
+            ctypes.byref(iters, 8 * lo),
+            ctypes.byref(metric, 8 * lo),
+            ctypes.byref(done, 8 * lo),
+            ctypes.byref(timed, lo),
+            ctypes.byref(cum, lo * self._klib.n_probes),
         )
         self.block_busy_s[b] += time.perf_counter() - t0
 
-    def run_async(self, n, iters, max_iters, fcols, icols):
+    def run_async(self, n, data, offs, iters, limit):
         """Dispatch ``n`` lanes across the thread blocks; returns a
         ``wait()`` callable yielding ``(metric, done, timed_out, cum)``.
 
-        The one batch path at every thread count: each block resets and
-        arms its own state struct before running (:meth:`_run_block`),
-        so callers do neither.  The watchdog limit is sampled here, on
-        the driving thread, so arming keeps the scalar engine's
-        per-batch semantics.  Output lane order is the input lane order
-        regardless of partition.
+        ``data`` holds the lanes' byte streams joined; lane ``l`` runs
+        ``iters[l]`` tuples from byte ``offs[l]`` on (both ``c_int64``
+        arrays).  ``limit`` is the watchdog step budget (``None``:
+        unarmed), sampled by the caller on the driving thread so arming
+        keeps the scalar engine's per-batch semantics.  The one batch
+        path at every thread count: each block resets and arms its own
+        state struct before running (:meth:`_run_block`), so callers do
+        neither.  Results come back in ctypes buffers, in input lane
+        order regardless of partition; ``cum`` holds ``n_probes`` bytes
+        per lane.
         """
-        np = _np
-        iters_arr = np.ascontiguousarray(iters, dtype=np.int64)
-        metric = np.zeros(n, dtype=np.int64)
-        done = np.zeros(n, dtype=np.int64)
-        timed = np.zeros(n, dtype=np.uint8)
-        np_probes = self._klib.n_probes
-        cum = np.zeros((n, max(np_probes, 1)), dtype=np.uint8)
-        limit = WATCHDOG.limit
+        outs = (
+            (ctypes.c_int64 * n)(),
+            (ctypes.c_int64 * n)(),
+            (ctypes.c_uint8 * n)(),
+            (ctypes.c_uint8 * max(n * self._klib.n_probes, 1))(),
+        )
         nb = min(self._threads, n)
         pools = self._block_pools()
         base, rem = divmod(n, nb)
@@ -2117,9 +2110,7 @@ class KernelProgram:
             bn = base + (1 if b < rem else 0)
             futures.append(
                 pools[b].submit(
-                    self._run_block,
-                    b, lo, bn, iters_arr, max_iters, fcols, icols, n,
-                    metric, done, timed, cum, limit,
+                    self._run_block, b, lo, bn, data, offs, iters, outs, limit
                 )
             )
             lo += bn
@@ -2128,55 +2119,53 @@ class KernelProgram:
         def wait():
             for fut in futures:
                 fut.result()
-            return metric, done, timed, cum[:, :np_probes]
+            return outs
 
         return wait
 
-    def step_row(self, act, fvals, ivals):
+    def step_row(self, rows):
         """One lockstep iteration across lanes (differential harness).
 
-        ``act``: uint8[n] activity mask; ``fvals``/``ivals``: (n_fields, n)
-        value planes.  Returns ``(cov_rows, iouts, douts, status)`` where
-        status is 0 = stepped, 1 = watchdog timeout, 2 = inactive lane.
+        ``rows`` holds one tuple's bytes per lane, or ``None`` for a lane
+        that sits the step out.  Returns one ``(status, probe bytes,
+        outputs)`` triple per lane; status 0 = stepped, 1 = watchdog
+        timeout, 2 = inactive lane.
         """
-        np = _np
-        n = len(act)
-        act_arr = np.ascontiguousarray(act, dtype=np.uint8)
-        fv = np.ascontiguousarray(fvals, dtype=np.float64)
-        iv = np.ascontiguousarray(ivals, dtype=np.int64)
-        np_probes = self._klib.n_probes
-        n_out = self._klib.n_out
-        cov = np.zeros((n, max(np_probes, 1)), dtype=np.uint8)
-        iouts = np.zeros((n, max(n_out, 1)), dtype=np.int64)
-        douts = np.zeros((n, max(n_out, 1)), dtype=np.float64)
-        status = np.zeros(n, dtype=np.uint8)
-        self._klib.lib.kern_step(
+        klib = self._klib
+        n = len(rows)
+        size, np_, n_out = klib.tuple_size, klib.n_probes, klib.n_out
+        if n > self._lanes:
+            raise ValueError("%d rows exceed %d lanes" % (n, self._lanes))
+        if any(row is not None and len(row) != size for row in rows):
+            raise ValueError("step_row takes one %d-byte tuple per lane" % size)
+        idle = bytes(size)
+        data = b"".join(idle if row is None else row for row in rows)
+        cov = (ctypes.c_uint8 * max(n * np_, 1))()
+        iouts = (ctypes.c_int64 * max(n * n_out, 1))()
+        douts = (ctypes.c_double * max(n * n_out, 1))()
+        status = (ctypes.c_uint8 * n)()
+        klib.lib.kern_step(
             self._handle,
             n,
-            _ptr(act_arr, ctypes.c_uint8),
-            _ptr(fv, ctypes.c_double),
-            _ptr(iv, ctypes.c_int64),
-            _ptr(cov, ctypes.c_uint8),
-            _ptr(iouts, ctypes.c_int64),
-            _ptr(douts, ctypes.c_double),
-            _ptr(status, ctypes.c_uint8),
-        )
-        return (
-            cov[:, :np_probes],
-            iouts[:, :n_out],
-            douts[:, :n_out],
+            bytes(row is not None for row in rows),
+            data,
+            cov,
+            iouts,
+            douts,
             status,
         )
-
-    def lane_outputs(self, iouts, douts, lane: int):
-        """Decode one lane's output tuple from step_row planes."""
-        out = []
-        for j, kind in enumerate(self._klib.out_kinds):
-            if kind == 0:
-                out.append(int(iouts[lane][j]))
-            else:
-                out.append(float(douts[lane][j]))
-        return tuple(out)
+        cov = bytes(cov)
+        return [
+            (
+                status[l],
+                cov[l * np_ : (l + 1) * np_],
+                tuple(
+                    (douts if kind else iouts)[l * n_out + j]
+                    for j, kind in enumerate(klib.out_kinds)
+                ),
+            )
+            for l in range(n)
+        ]
 
 
 class CompiledKernel:
@@ -2251,7 +2240,9 @@ def compile_kernel(
     key = None
     if store is not None:
         try:
-            key = cache_key(schedule.model, level, optimize, kernel=True)
+            key = cache_key(
+                schedule.model, level, optimize, kernel=KERNEL_ABI_VERSION
+            )
         except Uncacheable:
             store = None
     if key is not None:
@@ -2353,21 +2344,6 @@ def compile_kernel(
 # --------------------------------------------------------------------- #
 # the kernel fuzz driver
 # --------------------------------------------------------------------- #
-#: little-endian numpy field formats of the inport dtypes (the packed
-#: tuple layout of :class:`repro.parser.inport_info.TupleLayout`)
-_NP_FMT = {
-    "int8": "<i1",
-    "int16": "<i2",
-    "int32": "<i4",
-    "uint8": "<u1",
-    "uint16": "<u2",
-    "uint32": "<u4",
-    "boolean": "u1",
-    "single": "<f4",
-    "double": "<f8",
-}
-
-
 def compile_kernel_fuzz_driver(schedule):
     """Build ``fuzz_test_kernel(program, cov, batch, total_int)``.
 
@@ -2377,87 +2353,34 @@ def compile_kernel_fuzz_driver(schedule):
     stream with the scalar engine's sequential accounting.  The
     ``start``/``finish`` attributes split the call into an asynchronous
     dispatch and a sequential fold.
-
-    Raises :class:`KernelBuildError` when numpy is not importable.
     """
-    if _np is None:
-        raise KernelBuildError(
-            "kernel backend requires numpy for input marshalling"
-        )
-    np = _np
-    layout = schedule.layout
+    tuple_size = schedule.layout.size
     n_probes = schedule.branch_db.n_probes
-    tuple_size = layout.size
-    fields = list(layout.fields)
-    nf = len(fields)
-    rec_dtype = np.dtype(
-        {
-            "names": [f.name for f in fields],
-            "formats": [_NP_FMT[f.dtype.name] for f in fields],
-            "offsets": [f.offset for f in fields],
-            "itemsize": tuple_size,
-        }
-    )
-    kinds = [
-        "f" if f.dtype.is_float else ("b" if f.dtype.is_bool else "i")
-        for f in fields
-    ]
-
-    def _buffers(program, need):
-        """Pop a reusable column-buffer pair from the program's pool.
-
-        The pool double-buffers the hot loop: one pair backs the batch
-        executing in the kernel while the next batch packs into the
-        other, so steady state allocates nothing.  Rows past a lane's
-        ``iters[l]`` are never read by the kernel, so buffers need no
-        zeroing between batches.
-        """
-        pool = program.__dict__.setdefault("_column_buffers", [])
-        buf = pool.pop() if pool else {"f": None, "i": None}
-        if buf["f"] is None or buf["f"].size < need:
-            cap = max(need, 4096)
-            buf["f"] = np.empty(cap, dtype=np.float64)
-            buf["i"] = np.empty(cap, dtype=np.int64)
-        return buf
 
     def start(program, batch):
-        """Pack ``batch`` and dispatch it to the kernel asynchronously.
+        """Join ``batch`` and dispatch it to the kernel asynchronously.
 
-        Returns an opaque handle for :func:`finish`.  The kernel call
-        releases the GIL, so after ``start`` returns the driving thread
-        can mutate/clamp/pack the *next* batch while this one executes.
+        Returns an opaque ``(wait, watchdog limit, lanes used)`` handle
+        for :func:`finish`.  The streams cross into C as raw bytes, and
+        the kernel call releases the GIL, so after ``start`` returns the
+        driving thread can mutate/clamp/join the *next* batch while this
+        one executes.
         """
-        lanes = program._lanes
         n = len(batch)
         if n == 0:
             return None
-        if n > lanes:
-            raise ValueError("batch of %d exceeds %d lanes" % (n, lanes))
-        iters = [len(b) // tuple_size for b in batch]
-        max_iters = max(max(iters), 1)
-        buf = _buffers(program, nf * max_iters * n)
-        fcols = buf["f"][: nf * max_iters * n].reshape(nf, max_iters, n)
-        icols = buf["i"][: nf * max_iters * n].reshape(nf, max_iters, n)
-        old = np.seterr(all="ignore")
-        try:
-            for l, data in enumerate(batch):
-                k = iters[l]
-                if k == 0:
-                    continue
-                rec = np.frombuffer(data[: k * tuple_size], dtype=rec_dtype)
-                for fi, f in enumerate(fields):
-                    c = rec[f.name]
-                    if kinds[fi] == "f":
-                        cc = c.astype(np.float64)
-                        fcols[fi, :k, l] = np.where(cc != cc, 0.0, cc)
-                    elif kinds[fi] == "b":
-                        icols[fi, :k, l] = (c != 0).astype(np.int64)
-                    else:
-                        icols[fi, :k, l] = c.astype(np.int64)
-        finally:
-            np.seterr(**old)
-        wait = program.run_async(n, iters, max_iters, fcols, icols)
-        return (wait, buf, n)
+        if n > program._lanes:
+            raise ValueError(
+                "batch of %d exceeds %d lanes" % (n, program._lanes)
+            )
+        lens = [len(data) for data in batch]
+        offs = (ctypes.c_int64 * n)()
+        offs[:] = list(accumulate(lens[:-1], initial=0))
+        iters = (ctypes.c_int64 * n)()
+        iters[:] = [size // tuple_size for size in lens]
+        limit = WATCHDOG.limit
+        wait = program.run_async(n, b"".join(batch), offs, iters, limit)
+        return (wait, limit, n)
 
     def finish(program, handle, total_int):
         """Wait for a dispatched batch and fold it sequentially.
@@ -2468,16 +2391,17 @@ def compile_kernel_fuzz_driver(schedule):
         """
         if handle is None:
             return []
-        wait, buf, n = handle
+        wait, limit, n = handle
         t0 = time.perf_counter()
         metric, done, timed, cum = wait()
         program.stall_s += time.perf_counter() - t0
-        program.__dict__["_column_buffers"].append(buf)
-        limit = WATCHDOG.limit
+        cum = bytes(cum)
         results = []
         running = total_int
         for l in range(n):
-            cum_l = int.from_bytes(cum[l].tobytes(), "little")
+            cum_l = int.from_bytes(
+                cum[l * n_probes : (l + 1) * n_probes], "little"
+            )
             found = bool(cum_l & ~running)
             running |= cum_l
             texc = None
@@ -2486,9 +2410,7 @@ def compile_kernel_fuzz_driver(schedule):
                     "generated code exceeded the %d-step execution budget"
                     % (limit or 0)
                 )
-            results.append(
-                (int(metric[l]), found, running, int(done[l]), texc)
-            )
+            results.append((metric[l], found, running, done[l], texc))
         return results
 
     def fuzz_test_kernel(program, cov, batch, total_int):

@@ -49,7 +49,11 @@ def _wrap_single(value):
     value = float(value)
     if value != value or value in (math.inf, -math.inf):
         return value
-    return _PACK_F.unpack(_PACK_F.pack(value))[0]
+    try:
+        return _PACK_F.unpack(_PACK_F.pack(value))[0]
+    except OverflowError:
+        # pack raises exactly where C's (float)value is +-inf
+        return math.copysign(math.inf, value)
 
 
 def _wrap_double(value):

@@ -13,7 +13,7 @@ overridable with ``REPRO_CPUS`` for tests and benchmarks.
 available cores by the campaign's worker count so threads x workers
 never oversubscribes the container.  :data:`MAX_KERNEL_LANES`, the
 native kernel's lane ceiling, lives here too, so config checks read it
-without loading the kernel module and numpy.
+without loading the kernel module.
 """
 
 from __future__ import annotations

@@ -182,7 +182,8 @@ def wrap(value, dtype: DType):
 
     Integers wrap modulo 2^N (two's complement); booleans collapse to 0/1;
     ``single`` round-trips through 32-bit storage so it loses precision
-    exactly like the generated C code's ``float`` variables.
+    exactly like the generated C code's ``float`` variables, and a finite
+    value beyond float32 range becomes infinity as C's cast does.
     """
     if dtype.is_bool:
         return 1 if value else 0
@@ -197,7 +198,11 @@ def wrap(value, dtype: DType):
     if dtype.name == "single":
         if math.isinf(fvalue) or math.isnan(fvalue):
             return fvalue
-        return struct.unpack("<f", struct.pack("<f", fvalue))[0]
+        try:
+            return struct.unpack("<f", struct.pack("<f", fvalue))[0]
+        except OverflowError:
+            # pack raises exactly where C's (float)fvalue is +-inf
+            return math.copysign(math.inf, fvalue)
     return fvalue
 
 

@@ -99,7 +99,7 @@ class FuzzerConfig:
     #: parallel supervision: respawn budget per worker slot per campaign
     max_respawns: int = 3
     #: lane-parallel execution on the fused native kernel: step this many
-    #: inputs per native call (max 256; needs a C compiler and numpy).
+    #: inputs per native call (max 256; needs a C compiler).
     #: The default of 1 keeps the scalar engine — byte-identical suites
     #: with zero new dependencies; >1 trades per-input sequencing
     #: granularity for throughput (suites may differ from the scalar
@@ -130,7 +130,7 @@ def check_config(config: FuzzerConfig) -> Tuple[int, bool]:
     try_kernel)``, with ``lanes="auto"`` resolved.
 
     ``kernel_threads`` is checked only when the kernel would be tried.
-    Loads neither the kernel nor numpy, so config errors raise even on
+    Does not load the kernel, so config errors raise even on
     toolchain-less hosts, and the service rejects bad job specs early.
     """
     if config.level not in ("model", "code"):
@@ -282,19 +282,14 @@ class Fuzzer:
         """Build the fused native kernel and its fuzz driver.
 
         Fallback ladder: kernel -> scalar.  A kernel that cannot be built
-        (no numpy, no C compiler, build failure, un-loweable model)
-        emits one ``engine_fallback`` fault event and leaves the
-        campaign on scalar rather than failing it.  Only this branch
-        imports the kernel module (and with it numpy).
+        (no C compiler, build failure, un-loweable model) emits one
+        ``engine_fallback`` fault event and leaves the campaign on
+        scalar rather than failing it.  Only this branch imports the
+        kernel module.
         """
         from ..codegen import kernel as _kernel
 
         try:
-            if not _kernel.have_numpy():
-                # the kernel driver marshals byte streams through numpy
-                raise _kernel.KernelBuildError(
-                    "kernel backend requires numpy for input marshalling"
-                )
             if not _kernel.have_cc():
                 raise _kernel.KernelBuildError(
                     "no C compiler on PATH (set $CC or install gcc/clang)"

@@ -379,12 +379,14 @@ def run_kernel_differential(
     bytes, lane by lane.  (The kernel records no MCDC vectors by design;
     the scalar oracle covers those.)
 
+    The kernel steps the raw tuple bytes, so every lane also checks the
+    native decode (little-endian loads, NaN floats to 0.0, booleans as
+    ``!= 0``) against the scalar one.
+
     Raises :class:`repro.codegen.kernel.Unloweable` for the rare
     generated model the C lowering rejects — callers count those as
     engine fallbacks, not divergences.
     """
-    import numpy as np
-
     from repro.codegen.kernel import compile_kernel
 
     schedule = convert(generate_model(seed))
@@ -412,40 +414,26 @@ def run_kernel_differential(
 
         kprog = kernel.instantiate_kernel(lanes)
         n_steps = max(len(s) for s in streams)
-        fields = list(layout.fields)
         for t in range(n_steps):
-            act = np.zeros(lanes, dtype=np.uint8)
-            fvals = np.zeros((len(fields), lanes), dtype=np.float64)
-            ivals = np.zeros((len(fields), lanes), dtype=np.int64)
-            for l, rows in enumerate(streams):
-                if t >= len(rows):
-                    continue
-                act[l] = 1
-                for fi, v in enumerate(layout.unpack_tuple(rows[t])):
-                    if fields[fi].dtype.is_float:
-                        fvals[fi, l] = v
-                    else:
-                        ivals[fi, l] = v
+            rows = [s[t] if t < len(s) else None for s in streams]
             kprog.arm_lanes()  # scalar arms per row: same per-step budget
-            cov, iouts, douts, status = kprog.step_row(act, fvals, ivals)
-            for l in range(lanes):
-                if not act[l]:
+            for l, (status, probes, got) in enumerate(kprog.step_row(rows)):
+                if rows[l] is None:
                     continue
                 exp_outs, exp_probes = expected[l]
-                if status[l] != 0:
+                if status != 0:
                     return Divergence(
                         seed, optimize, streams[l], t,
                         "kernel lane timed out where scalar did not",
                         extra={"lanes": lanes, "lane": l, "kernel": True},
                     )
-                got = kprog.lane_outputs(iouts, douts, l)
                 if got != exp_outs[t]:
                     return Divergence(
                         seed, optimize, streams[l], t,
                         "kernel lane outputs differ", got, exp_outs[t],
                         extra={"lanes": lanes, "lane": l, "kernel": True},
                     )
-                if bytes(cov[l]) != exp_probes[t]:
+                if probes != exp_probes[t]:
                     return Divergence(
                         seed, optimize, streams[l], t,
                         "kernel lane probe bytes differ", got, exp_outs[t],
@@ -571,7 +559,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=0,
         metavar="N",
         help="also run the lane-by-lane kernel-vs-scalar differential at "
-        "N lanes (0 = off; needs a C compiler and numpy; un-loweable "
+        "N lanes (0 = off; needs a C compiler; un-loweable "
         "seeds are counted — a campaign on one falls back to scalar — "
         "and any count above zero fails the full sweep)",
     )

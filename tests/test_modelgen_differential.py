@@ -89,7 +89,6 @@ def test_kernel_engine_matches_scalar(optimize):
     model, so the sweep holds the ``Unloweable`` rate at zero — a
     nonzero count means the lattice lost grammar coverage.
     """
-    pytest.importorskip("numpy")
     from repro.codegen.kernel import Unloweable
 
     failures = []
