@@ -52,7 +52,7 @@ from repro.telemetry import Telemetry, read_trace, validate_event  # noqa: E402
 from repro.telemetry.report import coverage_curve  # noqa: E402
 
 from conftest import demo_model  # noqa: E402
-from test_parallel import TestDeterminismRegression, _suite_digest  # noqa: E402
+from test_parallel import TestDeterminismRegression  # noqa: E402
 
 GOLDEN = TestDeterminismRegression.GOLDEN
 
@@ -151,7 +151,7 @@ def bench_overhead(schedule, pairs=RATE_PAIRS, max_inputs=RATE_INPUTS):
     for _ in range(pairs):
         seconds, states = _scalar_pair(schedule, max_inputs)
         per_pair.append(seconds)
-        digests.update(_suite_digest(st.suite) for st in states)
+        digests.update(st.suite.digest() for st in states)
     result = _totals(per_pair, max_inputs)
     result["digests_identical"] = len(digests) == 1
     return result
@@ -224,7 +224,7 @@ def bench_kernel(schedule, pairs=RATE_PAIRS, max_inputs=RATE_INPUTS):
         seconds, states, spans = _kernel_pair(schedule, max_inputs)
         per_pair.append(seconds)
         span_counts.append(spans)
-        digests.update(_suite_digest(st.suite) for st in states)
+        digests.update(st.suite.digest() for st in states)
     result = _totals(per_pair, max_inputs)
     result.update(
         backend=probe.engine,
@@ -243,7 +243,7 @@ def bench_byte_identity(schedule, trace_path):
         )
         result = _run(schedule, seed, max_inputs, tel)
         tel.close()
-        got = _suite_digest(result.suite)
+        got = result.suite.digest()
         events = read_trace(trace_path)
         for event in events:
             validate_event(event)

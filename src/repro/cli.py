@@ -23,15 +23,12 @@ import os
 import sys
 
 from . import __version__
-from .bench.registry import build_schedule, model_names
 from .codegen import generate_fuzz_driver, generate_model_code
 from .csvio import suite_to_csv_dir
 from .errors import ReproError
 from .fuzzing import FuzzerConfig, TestSuite
 from .fuzzing.engine import replay_suite
-from .parser import model_from_xml
-from .schedule import convert
-from .slx import load_container
+from .service.scheduler import load_model_schedule
 
 __all__ = ["main"]
 
@@ -60,18 +57,6 @@ def _threads_arg(text: str):
     return _count_or_auto_arg(text, "thread count")
 
 
-def _load_schedule(target: str):
-    """A benchmark name or a path to an ``.slxz`` container."""
-    if target in model_names():
-        return build_schedule(target)
-    if not os.path.exists(target):
-        raise ReproError(
-            "%r is neither a benchmark (%s) nor a file"
-            % (target, ", ".join(model_names()))
-        )
-    return convert(model_from_xml(load_container(target)))
-
-
 def _cmd_fuzz(args) -> int:
     from .fuzzing.parallel import run_campaign
     from .telemetry import Telemetry, telemetry_scope
@@ -98,7 +83,7 @@ def _cmd_fuzz(args) -> int:
             # a second root
             root = tel.span_begin("campaign")
             with tel.phase("parse"):
-                schedule = _load_schedule(args.model)
+                schedule = load_model_schedule(args.model)
             config = FuzzerConfig(
                 max_seconds=args.seconds,
                 seed=args.seed,
@@ -169,7 +154,7 @@ def _cmd_codegen(args) -> int:
     try:
         with telemetry_scope(tel):
             with tel.phase("parse"):
-                schedule = _load_schedule(args.model)
+                schedule = load_model_schedule(args.model)
             with tel.phase("codegen"):
                 source = generate_model_code(schedule, args.level)
             if args.optimized:
@@ -216,7 +201,7 @@ def _cmd_compare(args) -> int:
     from .experiments.report import format_table
     from .experiments.runner import TOOLS, run_tool
 
-    schedule = _load_schedule(args.model)
+    schedule = load_model_schedule(args.model)
     compiled = compile_model(schedule, "model")  # shared replay artifact
     rows = []
     for tool in TOOLS:
@@ -249,7 +234,7 @@ def _cmd_report(args) -> int:
         return 0
     if not args.model or not args.suite:
         raise ReproError("report needs either --trace PATH or MODEL SUITE")
-    schedule = _load_schedule(args.model)
+    schedule = load_model_schedule(args.model)
     suite = TestSuite.load(args.suite)
     compiled = compile_model(schedule, "model")
     report = replay_suite(schedule, suite, compiled=compiled)
@@ -267,7 +252,7 @@ def _cmd_report(args) -> int:
 def _cmd_show(args) -> int:
     from .model.describe import describe_model, describe_schedule
 
-    schedule = _load_schedule(args.model)
+    schedule = load_model_schedule(args.model)
     print(describe_model(schedule.model))
     print()
     print(describe_schedule(schedule))
@@ -279,7 +264,7 @@ def _cmd_minimize(args) -> int:
     from .fuzzing.minimize import minimize_suite
     from .fuzzing.engine import replay_suite
 
-    schedule = _load_schedule(args.model)
+    schedule = load_model_schedule(args.model)
     suite = TestSuite.load(args.suite)
     compiled = compile_model(schedule, "model")  # one compile for all passes
     reduced = minimize_suite(schedule, suite, compiled=compiled)

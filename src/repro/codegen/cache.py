@@ -23,9 +23,11 @@ cache entirely):
   :mod:`repro.codegen.kernel`), platform-tagged for the same reason and
   covered by the same quarantine path.
 
-Writes are atomic (temp file + ``os.replace``); a missing or unreadable
-entry is a plain miss.  An entry that is *present but corrupted* (bad
-marshal payload, non-code object, failed validation — or an injected
+Writes go through the shared :func:`~repro.atomic.atomic_write` (temp
+file + ``os.replace``); ``put_disk`` drops a failed write, because the
+cache is an accelerator.  A missing or unreadable entry is a plain
+miss.  An entry that is *present but corrupted* (bad marshal payload,
+non-code object, failed validation — or an injected
 ``cache_corrupt`` fault) is **quarantined**: both files are moved into a
 ``quarantine/`` subdirectory so the poisoned entry can never be read
 again, a ``fault`` telemetry event records it, and the caller recompiles
@@ -45,10 +47,10 @@ import hashlib
 import marshal
 import os
 import sys
-import tempfile
 from collections import OrderedDict
 from typing import Optional, Tuple
 
+from ..atomic import atomic_write
 from ..dtypes import DType
 from ..faults.plan import should_fire as _should_fire
 
@@ -296,23 +298,10 @@ class CompileCache:
         src_path, bin_path = self._paths(key)
         try:
             os.makedirs(self.root, exist_ok=True)
-            self._atomic_write(src_path, source.encode("utf-8"))
-            self._atomic_write(bin_path, marshal.dumps(code))
+            atomic_write(src_path, source.encode("utf-8"))
+            atomic_write(bin_path, marshal.dumps(code))
         except OSError:  # pragma: no cover - read-only FS etc.
             pass  # the cache is an accelerator, never a requirement
-
-    def _atomic_write(self, path: str, payload: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
 
 _DEFAULT: Optional[CompileCache] = None

@@ -1,17 +1,17 @@
 """Fused native kernel backend: the lane-parallel execution engine.
 
-The second codegen backend (after the scalar module): the *scalar
-optimized* generated module is lowered to one C translation unit whose
-``lane_step`` runs a whole model iteration for one lane — real branches,
-probe writes as byte stores, watchdog ticks and the
-``safe_div``/``safe_mod`` totality semantics inlined — and ``kern_run``
-fuses the entire per-input fuzz loop (decode → step → coverage delta
-accounting) into a single native call per batch.  Inputs cross into C
-as raw bytes: each lane's byte stream is split into tuples and every
-inport field is loaded at its tuple offset in C, as the paper's fuzz
-driver does (§3.1.1, Fig. 3).  Where the scalar engine pays one Python
-``step`` call per tuple, the kernel pays one ctypes crossing per
-*batch*.
+The second codegen backend (after the scalar module): the scalar
+generated module a ``CompiledModel`` carries, optimizer output included,
+is lowered to one C translation unit whose ``lane_step`` runs a whole
+model iteration for one lane — real branches, probe writes as byte
+stores, watchdog ticks and the ``safe_div``/``safe_mod`` totality
+semantics inlined — and ``kern_run`` fuses the entire per-input fuzz
+loop (decode → step → coverage delta accounting) into a single native
+call per batch.  Inputs cross into C as raw bytes: each lane's byte
+stream is split into tuples and every inport field is loaded at its
+tuple offset in C, as the paper's fuzz driver does (§3.1.1, Fig. 3).
+Where the scalar engine pays one Python ``step`` call per tuple, the
+kernel pays one ctypes crossing per *batch*.
 
 Semantics contract: a lane must behave bit-for-bit like the scalar
 driver running the same byte stream, gated by the lane-by-lane
@@ -2216,25 +2216,24 @@ def clear_kernel_memory() -> None:
     _LOADED.clear()
 
 
-def _scalar_source(schedule, level: str, optimize: bool) -> str:
-    from .compile import _generate_source
+def compile_kernel(compiled, cache: bool = True) -> CompiledKernel:
+    """Lower, build and load the fused native kernel for a compiled model.
 
-    return _generate_source(schedule, level, optimize)
-
-
-def compile_kernel(
-    schedule,
-    level: str = "model",
-    optimize: bool = True,
-    cache: bool = True,
-) -> CompiledKernel:
-    """Lower, build and load the fused native kernel for a schedule.
+    ``compiled`` is the :class:`~repro.codegen.compile.CompiledModel`
+    the scalar engine runs: the kernel lowers its ``source`` as is, and
+    takes the schedule, level and optimize flag from it, so a cold build
+    generates and optimizes the model once, in ``compile_model``.  With
+    ``cache`` the built kernel is stored under the model's kernel slot,
+    ``cache_key(model, level, optimized, kernel=KERNEL_ABI_VERSION)``.
 
     Raises :class:`Unloweable` when the generated module uses constructs
     the C lowering cannot prove bit-exact, and :class:`KernelBuildError`
     when no C compiler is available or the build fails; callers degrade
     to the scalar engine on either.
     """
+    schedule = compiled.schedule
+    level = compiled.level
+    optimize = compiled.optimized
     tel = get_telemetry()
     store = default_cache() if cache else None
     key = None
@@ -2302,9 +2301,8 @@ def compile_kernel(
         tel.emit(
             "compile_cache", tier="miss", level=level, backend="kernel"
         )
-    py_source = _scalar_source(schedule, level, optimize)
     with tel.phase("kernel_lower"):
-        c_source = lower_kernel_source(schedule, py_source)
+        c_source = lower_kernel_source(schedule, compiled.source)
     if store is not None and key is not None:
         c_path, so_path = store.native_paths(key)
         build_dir = os.path.dirname(so_path)

@@ -10,7 +10,10 @@ generated/library code.  Ten thousand inputs that hang the same
 like LibFuzzer's ``timeout-<hash>`` files.
 
 With a ``root`` directory the store persists each new artifact as two
-files (atomically, so a killed campaign never leaves torn artifacts):
+files, each through the shared :func:`~repro.atomic.atomic_write` so a
+killed campaign never leaves torn artifacts (its temp files are not
+``*.json``, so :meth:`CrashStore.load` skips them, and a failed write
+is dropped: the artifacts are best-effort evidence):
 
 * ``<kind>-<hash>`` — the raw input bytes, replayable with
   ``repro report`` / the fuzz driver;
@@ -27,10 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from ..atomic import atomic_write
 
 __all__ = ["stack_hash", "CrashArtifact", "CrashStore"]
 
@@ -124,7 +128,7 @@ class CrashStore:
             artifact.count += 1
             if probes_covered is not None:
                 artifact.probes_covered = probes_covered
-            self._persist_meta(artifact)
+            self._persist(artifact, with_data=False)
             return artifact
         frames = [
             "%s:%s:%d" % (f.filename, f.name, f.lineno or 0)
@@ -140,42 +144,26 @@ class CrashStore:
             probes_covered=probes_covered,
         )
         self.artifacts[key] = artifact
-        self._persist(artifact)
+        self._persist(artifact, with_data=True)
         return artifact
 
     # --------------------------- persistence -------------------------- #
-    def _persist(self, artifact: CrashArtifact) -> None:
+    def _persist(self, artifact: CrashArtifact, with_data: bool) -> None:
+        """Write the metadata, after the input bytes when ``with_data``
+        (a duplicate only rewrites its count)."""
         if self.root is None:
             return
         os.makedirs(self.root, exist_ok=True)
-        self._atomic_write(
-            os.path.join(self.root, artifact.name), artifact.data
-        )
-        self._persist_meta(artifact)
-
-    def _persist_meta(self, artifact: CrashArtifact) -> None:
-        if self.root is None:
-            return
-        os.makedirs(self.root, exist_ok=True)
-        payload = json.dumps(artifact.meta(), indent=2, sort_keys=True)
-        self._atomic_write(
-            os.path.join(self.root, artifact.name + ".json"),
-            payload.encode("utf-8"),
-        )
-
-    def _atomic_write(self, path: str, payload: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        path = os.path.join(self.root, artifact.name)
+        meta = json.dumps(artifact.meta(), indent=2, sort_keys=True)
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
+            if with_data:
+                atomic_write(path, artifact.data)
+            atomic_write(path + ".json", meta.encode("utf-8"))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             # artifacts are best-effort evidence; a full disk must not
             # take the campaign down with it
+            pass
 
     @classmethod
     def load(cls, root: str) -> "CrashStore":

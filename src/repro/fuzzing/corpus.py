@@ -112,6 +112,3 @@ class Corpus:
         if bump:
             chosen.selections += 1
         return chosen
-
-    def best_metric(self) -> int:
-        return max((e.metric for e in self.entries), default=0)

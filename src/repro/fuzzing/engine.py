@@ -295,9 +295,7 @@ class Fuzzer:
                     "no C compiler on PATH (set $CC or install gcc/clang)"
                 )
             with telemetry_scope(self.telemetry):
-                self._kernel_compiled = _kernel.compile_kernel(
-                    self.schedule, self.config.level
-                )
+                self._kernel_compiled = _kernel.compile_kernel(self.compiled)
                 with self.telemetry.phase("compile"):
                     self._kernel_driver = _kernel.compile_kernel_fuzz_driver(
                         self.schedule

@@ -102,6 +102,9 @@ _ORPHAN_CHECK_SECONDS = 1.0
 #: the worker-side fault kinds a dispatch ships inside its payload
 _WORKER_FAULTS = ("worker_death", "slow_exec")
 
+#: the most seeds a sync round's coverage-gated merge hands back
+_MERGE_POOL_SIZE = 64
+
 
 def derive_worker_seed(seed: int, worker_index: int) -> int:
     """The deterministic RNG seed of one campaign worker."""
@@ -464,14 +467,14 @@ def merge_seed_pool(
     schedule: Schedule,
     candidates: List[bytes],
     compiled: Optional[CompiledModel] = None,
-    max_pool: int = 64,
 ) -> List[bytes]:
     """Coverage-gated merge of worker corpora into a compact seed pool.
 
     Greedy probe-bitmap set cover over the deduplicated candidate byte
     streams: the result covers the union of everything the candidates
     cover, preferring shorter inputs on equal gain — LibFuzzer's
-    ``-merge=1`` for model probes.
+    ``-merge=1`` for model probes — cut to the first
+    ``_MERGE_POOL_SIZE``.
     """
     compiled = compiled or compile_model(schedule, "model")
     recorder = CoverageRecorder(schedule.branch_db)
@@ -480,7 +483,7 @@ def merge_seed_pool(
     unique = sorted(set(candidates), key=lambda d: (len(d), d))
     items = [(data, case_bitmap(program, recorder, layout, data)) for data in unique]
     kept = greedy_cover(items, prefer=lambda a, b: (len(a), a) < (len(b), b))
-    return kept[:max_pool]
+    return kept[:_MERGE_POOL_SIZE]
 
 
 class ParallelFuzzer:
@@ -492,7 +495,6 @@ class ParallelFuzzer:
         config: Optional[FuzzerConfig] = None,
         compiled: Optional[CompiledModel] = None,
         start_method: Optional[str] = None,
-        merge_pool_size: int = 64,
         telemetry: Optional[Telemetry] = None,
     ):
         self.schedule = schedule
@@ -505,7 +507,6 @@ class ParallelFuzzer:
             raise FuzzingError("campaign merge requires a model-level artifact")
         self._compiled = compiled
         self.start_method = start_method
-        self.merge_pool_size = merge_pool_size
         tel = telemetry if telemetry is not None else get_telemetry()
         if tel is NULL:
             tel = Telemetry(enabled=False)
@@ -731,10 +732,7 @@ class ParallelFuzzer:
                         candidates.extend(c.data for c in state.suite)
                     with tel.phase("merge"):
                         merged_seeds = merge_seed_pool(
-                            self.schedule,
-                            candidates,
-                            compiled=compiled,
-                            max_pool=self.merge_pool_size,
+                            self.schedule, candidates, compiled=compiled
                         )
         finally:
             pool.shutdown()

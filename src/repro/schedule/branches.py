@@ -105,10 +105,6 @@ class BranchDB:
         return sum(len(d.outcomes) for d in self.decisions)
 
     @property
-    def n_condition_outcomes(self) -> int:
-        return 2 * len(self.conditions)
-
-    @property
     def n_mcdc_conditions(self) -> int:
         return sum(len(g.condition_ids) for g in self.mcdc_groups)
 

@@ -77,9 +77,6 @@ class Schedule:
     def model(self) -> Model:
         return self.root.model
 
-    def outport_names(self) -> List[str]:
-        return [p.name for p in self.model.outports()]
-
 
 def convert(model: Model, validate: bool = True) -> Schedule:
     """Convert a model into a :class:`Schedule` (paper's Schedule Convert)."""

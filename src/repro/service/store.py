@@ -15,8 +15,9 @@ Layout (one directory per job under the store root)::
       quarantine/<id>/          corrupted records, moved aside verbatim
 
 The durability contract mirrors the compile cache's: every record is
-written atomically (temp file + ``os.replace`` in the same directory),
-so a SIGKILL'd daemon never leaves a half-written ``job.json`` or
+written with the shared :func:`~repro.atomic.atomic_write` (temp file +
+``os.replace`` in the same directory, the temp name one ``list_jobs``
+skips), so a SIGKILL'd daemon never leaves a half-written ``job.json`` or
 ``state.pkl`` — restart reads either the previous snapshot or the new
 one, both of which resume the campaign deterministically.  A record
 that *is* damaged (torn by an operator, bit-rotted, or garbled by an
@@ -35,9 +36,9 @@ import os
 import pickle
 import re
 import shutil
-import tempfile
 from typing import Dict, List, Optional
 
+from ..atomic import atomic_write
 from ..errors import JobNotFound, ServiceError
 from ..faults.plan import should_fire
 from ..fuzzing.engine import FuzzState
@@ -46,21 +47,6 @@ from ..telemetry.core import NULL, Telemetry
 __all__ = ["JobStore"]
 
 _JOB_ID_RE = re.compile(r"^job(\d+)$")
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write-then-rename in the target directory (crash-atomic)."""
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class JobStore:
@@ -123,7 +109,7 @@ class JobStore:
     def save_job(self, record: Dict) -> None:
         job_id = record["id"]
         os.makedirs(self.job_dir(job_id), exist_ok=True)
-        _atomic_write(
+        atomic_write(
             self.job_path(job_id),
             json.dumps(record, sort_keys=True, indent=2).encode("utf-8"),
         )
@@ -155,7 +141,7 @@ class JobStore:
 
     # --------------------------- state snapshots ----------------------- #
     def save_state(self, job_id: str, state: FuzzState) -> None:
-        _atomic_write(
+        atomic_write(
             self.state_path(job_id),
             pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
         )
@@ -184,12 +170,6 @@ class JobStore:
             return None
         return state
 
-    def discard_state(self, job_id: str) -> None:
-        try:
-            os.unlink(self.state_path(job_id))
-        except OSError:
-            pass
-
     def discard_part(self, job_id: str) -> None:
         """Drop a stale slice trace before (re-)dispatching the slice."""
         try:
@@ -199,7 +179,7 @@ class JobStore:
 
     # ------------------------------ results ---------------------------- #
     def save_result(self, job_id: str, result: Dict) -> None:
-        _atomic_write(
+        atomic_write(
             self.result_path(job_id),
             json.dumps(result, sort_keys=True, indent=2).encode("utf-8"),
         )
@@ -226,7 +206,7 @@ class JobStore:
     # ----------------------------- endpoint ---------------------------- #
     def write_endpoint(self, url: str) -> None:
         """Publish the daemon's URL for tests/CI to discover."""
-        _atomic_write(self.endpoint_path(), (url + "\n").encode("utf-8"))
+        atomic_write(self.endpoint_path(), (url + "\n").encode("utf-8"))
 
     # ---------------------------- quarantine ---------------------------- #
     def _quarantine(self, src: str, job_id: str, what: str, error) -> None:

@@ -376,7 +376,8 @@ def run_kernel_differential(
 ) -> Optional[Divergence]:
     """Kernel property: every lane of the fused native kernel reproduces
     the scalar generated code exactly — outputs and per-step probe
-    bytes, lane by lane.  (The kernel records no MCDC vectors by design;
+    bytes, lane by lane.  The kernel is lowered from the very module the
+    scalar oracle runs.  (The kernel records no MCDC vectors by design;
     the scalar oracle covers those.)
 
     The kernel steps the raw tuple bytes, so every lane also checks the
@@ -393,8 +394,8 @@ def run_kernel_differential(
     layout = schedule.layout
     streams = generate_lane_streams(layout, seed, lanes, n_rows)
 
-    kernel = compile_kernel(schedule, "model", optimize=optimize, cache=False)
     compiled = compile_model(schedule, "model", optimize=optimize)
+    kernel = compile_kernel(compiled, cache=False)
     expected = []  # per lane: (outputs per step, probe bytes per step)
     WATCHDOG.configure(_STEP_BUDGET)
     try:

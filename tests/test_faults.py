@@ -8,7 +8,6 @@ of dying, and (for worker faults) still produces output byte-identical
 to the fault-free run.
 """
 
-import hashlib
 import json
 import os
 
@@ -58,14 +57,6 @@ def hang_model():
     )(u)
     b.outport("y", y)
     return b.build()
-
-
-def _suite_digest(suite) -> str:
-    h = hashlib.sha256()
-    for case in suite:
-        h.update(len(case.data).to_bytes(4, "little"))
-        h.update(case.data)
-    return h.hexdigest()
 
 
 # -------------------------------------------------------------------- #
@@ -268,7 +259,7 @@ class TestEngineWatchdog:
 
         a, b = run("a"), run("b")
         assert a.timeouts == b.timeouts > 0
-        assert _suite_digest(a.suite) == _suite_digest(b.suite)
+        assert a.suite.digest() == b.suite.digest()
         store_a = CrashStore.load(str(tmp_path / "a"))
         store_b = CrashStore.load(str(tmp_path / "b"))
         assert sorted(store_a.artifacts) == sorted(store_b.artifacts)
@@ -313,7 +304,7 @@ class TestWorkerSupervision:
         golden, golden_events = _campaign(schedule, tmp_path, "golden")
         with fault_scope(parse_faults("worker_death:worker=1:epoch=1")):
             faulted, events = _campaign(schedule, tmp_path, "faulted")
-        assert _suite_digest(faulted.suite) == _suite_digest(golden.suite)
+        assert faulted.suite.digest() == golden.suite.digest()
         assert faulted.report.as_dict() == golden.report.as_dict()
         # timeline: same coverage milestones (timestamps carry noise)
         assert [c for _t, c in faulted.timeline] == [
@@ -368,7 +359,7 @@ class TestWorkerSupervision:
             if e["ev"] == "fault" and e["kind"] == "worker_failure"
         ]
         assert len(failures) == 1
-        assert _suite_digest(faulted.suite) == _suite_digest(golden.suite)
+        assert faulted.suite.digest() == golden.suite.digest()
 
     def test_erroring_slices_degrade_with_the_exception_text(
         self, tmp_path, capfd

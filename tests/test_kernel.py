@@ -20,7 +20,6 @@ is kernel -> scalar); these tests pin its contracts:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
@@ -28,6 +27,7 @@ import sys
 
 import pytest
 
+import repro.codegen.compile as compile_mod
 import repro.codegen.kernel as kernel_mod
 from conftest import demo_model, skip_if_no_cc
 from repro import CoverageRecorder, ModelBuilder, compile_model, convert
@@ -41,6 +41,7 @@ from repro.codegen.kernel import (
     compile_kernel,
     compile_kernel_fuzz_driver,
     have_cc,
+    lower_kernel_source,
 )
 from repro.errors import FuzzingError, WatchdogTimeout
 from repro.faults.crashes import CrashStore
@@ -104,13 +105,6 @@ def hang_model():
     return b.build()
 
 
-def suite_digest(suite) -> str:
-    h = hashlib.sha256()
-    for case in suite.cases:
-        h.update(case.data)
-    return h.hexdigest()
-
-
 def run_config(schedule, tmp_path, tag, slices=1, **kw):
     """A traced 300-input campaign at seed 11; with ``slices`` > 1 it
     runs as that many ``resume`` calls over one state."""
@@ -157,7 +151,7 @@ class TestKernelParity:
         assert fk.engine == "kernel"
         assert st_s.inputs_executed == st_k.inputs_executed
         assert st_s.iterations_executed == st_k.iterations_executed
-        assert suite_digest(st_s.suite) == suite_digest(st_k.suite)
+        assert st_s.suite.digest() == st_k.suite.digest()
 
     def test_kernel_lanes_beyond_64(self, schedule, tmp_path):
         """The kernel's lane ceiling is 256, past one 64-bit word."""
@@ -169,19 +163,47 @@ class TestKernelParity:
         assert st.inputs_executed == 300
         assert st.suite.cases
 
-    def test_kernel_source_is_cached_and_reloaded(self, schedule, tmp_path):
-        os.environ["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+    def test_kernel_source_is_cached_and_reloaded(
+        self, schedule, tmp_path, monkeypatch
+    ):
+        """A kernel Fuzzer built from an empty cache generates and
+        optimizes its model once: the kernel lowers the artifact
+        ``compile_model`` built.  The kernel then reloads from the disk
+        tier, then from memory, without generating again."""
+        calls = {"generate_model_code": 0, "optimize_module": 0}
+        for name in calls:
+            real = getattr(compile_mod, name)
+
+            def counted(*args, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(compile_mod, name, counted)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         kernel_mod.clear_kernel_memory()
-        try:
-            cold = compile_kernel(schedule, "model")
-            assert cold.from_cache is None
-            kernel_mod.clear_kernel_memory()
-            warm = compile_kernel(schedule, "model")
-            assert warm.from_cache == "disk"
-            hot = compile_kernel(schedule, "model")
-            assert hot.from_cache == "memory"
-        finally:
-            del os.environ["REPRO_CACHE_DIR"]
+        fz = Fuzzer(schedule, FuzzerConfig(lanes=4, kernel="on"))
+        assert fz.engine == "kernel"
+        assert fz._kernel_compiled.from_cache is None
+        assert calls == {"generate_model_code": 1, "optimize_module": 1}
+        kernel_mod.clear_kernel_memory()
+        warm = compile_kernel(fz.compiled)
+        assert warm.from_cache == "disk"
+        hot = compile_kernel(fz.compiled)
+        assert hot.from_cache == "memory"
+        assert calls == {"generate_model_code": 1, "optimize_module": 1}
+
+    def test_kernel_lowers_the_artifact_it_is_given(self, schedule):
+        """An unoptimized artifact runs an unoptimized kernel: the C is
+        lowered from the very source the scalar engine executes."""
+        compiled = compile_model(schedule, "model", optimize=False, cache=False)
+        fz = Fuzzer(
+            schedule, FuzzerConfig(lanes=4, kernel="on"), compiled=compiled
+        )
+        assert fz.engine == "kernel"
+        assert fz._kernel_compiled.optimized is False
+        assert fz._kernel_compiled.c_source == lower_kernel_source(
+            schedule, compiled.source
+        )
 
 
 # -------------------------------------------------------------------- #
@@ -197,7 +219,7 @@ class TestMultiLane:
 
         a, b = run(), run()
         assert a.inputs_executed == b.inputs_executed == 200
-        assert suite_digest(a.suite) == suite_digest(b.suite)
+        assert a.suite.digest() == b.suite.digest()
         assert a.report.as_dict() == b.report.as_dict()
 
     @pytest.mark.parametrize("lanes", [0, -1, "64", MAX_KERNEL_LANES + 1])
@@ -234,7 +256,7 @@ class TestPerLaneWatchdog:
                 total = exc.partial_total_int
                 expected.append((exc.partial_total_int, exc.iterations))
 
-        ck = compile_kernel(schedule, "model", cache=False)
+        ck = compile_kernel(compile_model(schedule, "model"), cache=False)
         kdriver = compile_kernel_fuzz_driver(schedule)
         results = kdriver(ck.instantiate_kernel(3), None, streams, 0)
 
@@ -303,7 +325,7 @@ class TestFloat32Overflow:
         assert (fs.engine, f1.engine, f4.engine) == ("scalar", "kernel", "kernel")
         assert st_s.inputs_executed == st_1.inputs_executed == 300
         assert st_4.inputs_executed == 300
-        assert suite_digest(st_s.suite) == suite_digest(st_1.suite)
+        assert st_s.suite.digest() == st_1.suite.digest()
         # run() ends in finalize's scalar replay of the kernel suite
         assert st_4.report.decision > 0
 
@@ -315,11 +337,12 @@ class TestFloat32Overflow:
         inputs = [1e9, -1e9, 1.0, 3.5e8, -3.5e8]
         instance = ModelInstance(schedule)
         instance.init()
-        program, _ = compile_model(schedule, "model").instantiate()
+        compiled = compile_model(schedule, "model")
+        program, _ = compiled.instantiate()
         program.init()
         want = [tuple(instance.step(u)) for u in inputs]
         assert [tuple(program.step(u)) for u in inputs] == want
-        kprog = compile_kernel(schedule, "model", cache=False).instantiate_kernel(
+        kprog = compile_kernel(compiled, cache=False).instantiate_kernel(
             len(inputs)
         )
         rows = kprog.step_row([layout.pack_tuple((u,)) for u in inputs])
@@ -378,7 +401,7 @@ class TestDegradationLadder:
         fs, st_s, _ = run_config(schedule, tmp_path, "plain", lanes=1)
         assert fs.engine == "scalar"
         assert st_k.inputs_executed == st_s.inputs_executed == 300
-        assert suite_digest(st_k.suite) == suite_digest(st_s.suite)
+        assert st_k.suite.digest() == st_s.suite.digest()
 
     def test_no_compiler_single_lane_falls_back_to_scalar(
         self, schedule, tmp_path, monkeypatch
@@ -392,7 +415,7 @@ class TestDegradationLadder:
         assert falls and falls[0]["engine_to"] == "scalar"
         monkeypatch.undo()
         fs, st_s, _ = run_config(schedule, tmp_path, "scal", kernel="off")
-        assert suite_digest(st_k.suite) == suite_digest(st_s.suite)
+        assert st_k.suite.digest() == st_s.suite.digest()
 
     def test_kernel_off_never_touches_the_toolchain(
         self, schedule, tmp_path, monkeypatch
@@ -429,7 +452,7 @@ class TestDegradationLadder:
 
 
 _NO_NUMPY_SCRIPT = r"""
-import hashlib, json, sys
+import json, sys
 sys.modules["numpy"] = None  # every `import numpy` now raises ImportError
 sys.path.insert(0, sys.argv[1])
 from conftest import demo_model
@@ -437,14 +460,6 @@ from repro import convert
 from repro.fuzzing import Fuzzer, FuzzerConfig
 from repro.telemetry.core import Telemetry
 from repro.telemetry.events import read_trace
-
-
-def suite_digest(suite):
-    h = hashlib.sha256()
-    for case in suite.cases:
-        h.update(case.data)
-    return h.hexdigest()
-
 
 path = "%s/lanes64.jsonl" % sys.argv[2]
 tel = Telemetry(enabled=True, trace_path=path)
@@ -457,7 +472,7 @@ result = fuzzer.run()
 tel.close()
 print(json.dumps({
     "engine": fuzzer.engine,
-    "digest": suite_digest(result.suite),
+    "digest": result.suite.digest(),
     "fallbacks": [
         e for e in read_trace(path)
         if e["ev"] == "fault" and e.get("kind") == "engine_fallback"
@@ -523,7 +538,7 @@ class TestWithoutNumpy:
         assert fz.engine == "kernel"
         assert out["engine"] == "kernel"
         assert out["fallbacks"] == []
-        assert out["digest"] == suite_digest(here.suite)
+        assert out["digest"] == here.suite.digest()
 
 
 # -------------------------------------------------------------------- #
@@ -603,7 +618,7 @@ class TestKernelDriver:
             running = r[2]
             want.append(r)
 
-        ck = compile_kernel(schedule, "model")
+        ck = compile_kernel(compiled)
         kdriver = compile_kernel_fuzz_driver(schedule)
         kprog = ck.instantiate_kernel(64, threads)
         got = kdriver(kprog, None, streams, 0)
@@ -630,21 +645,22 @@ class TestKernelDriver:
             stream(3, layout.size * 3 + 2),  # partial tail
             stream(4, layout.size * 20),
         ]
+        compiled = compile_model(schedule, "model")
         sdriver = compile_fuzz_driver(schedule)
-        program, rec = compile_model(schedule, "model").instantiate()
+        program, rec = compiled.instantiate()
         expected, total = [], 0
         for data in streams:
             metric, found, total, iters = sdriver(program, rec.curr, data, total)
             expected.append((metric, found, total, iters))
 
-        ck = compile_kernel(schedule, "model", cache=False)
+        ck = compile_kernel(compiled, cache=False)
         kdriver = compile_kernel_fuzz_driver(schedule)
         results = kdriver(ck.instantiate_kernel(len(streams)), None, streams, 0)
         assert [tuple(r[:4]) for r in results] == expected
         assert all(r[4] is None for r in results)
 
     def test_empty_batch_is_a_noop(self, schedule):
-        ck = compile_kernel(schedule, "model", cache=False)
+        ck = compile_kernel(compile_model(schedule, "model"), cache=False)
         kdriver = compile_kernel_fuzz_driver(schedule)
         assert kdriver(ck.instantiate_kernel(4), None, [], 0) == []
 
@@ -673,7 +689,7 @@ class TestKernelThreading:
             runs[threads] = (
                 st.inputs_executed,
                 st.iterations_executed,
-                suite_digest(st.suite),
+                st.suite.digest(),
             )
         assert runs[1] == runs[2] == runs[4] == runs["auto"]
 
@@ -711,7 +727,7 @@ class TestKernelThreading:
         monkeypatch.undo()
         fs, st_s, _ = run_config(schedule, tmp_path, "thrscalar", kernel="off")
         assert fs.engine == "scalar"
-        assert suite_digest(st_k.suite) == suite_digest(st_s.suite)
+        assert st_k.suite.digest() == st_s.suite.digest()
 
     def test_invalid_thread_config_raises(self, schedule):
         for bad in (0, -2, "three", True):
@@ -770,7 +786,7 @@ class TestKernelThreading:
                 res.append(tuple(r[:4]))
             want.append(res)
 
-        ck = compile_kernel(schedule, "model", cache=False)
+        ck = compile_kernel(compiled, cache=False)
         kdriver = compile_kernel_fuzz_driver(schedule)
         progs = [ck.instantiate_kernel(8) for _ in range(2)]
 

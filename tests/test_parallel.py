@@ -6,7 +6,6 @@ streams), so they pin the workers=1 path to the pre-refactor behavior
 byte for byte.
 """
 
-import hashlib
 import random
 
 import pytest
@@ -24,14 +23,6 @@ from repro.fuzzing.parallel import ParallelFuzzer, derive_worker_seed
 from repro.errors import FuzzingError
 
 from conftest import demo_model
-
-
-def _suite_digest(suite) -> str:
-    h = hashlib.sha256()
-    for case in suite:
-        h.update(len(case.data).to_bytes(4, "little"))
-        h.update(case.data)
-    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +46,7 @@ class TestDeterminismRegression:
         config = FuzzerConfig(max_seconds=600.0, max_inputs=max_inputs, seed=seed)
         result = Fuzzer(schedule, config).run()
         assert result.inputs_executed == max_inputs
-        assert _suite_digest(result.suite) == self.GOLDEN[(seed, max_inputs)]
+        assert result.suite.digest() == self.GOLDEN[(seed, max_inputs)]
 
     @pytest.mark.parametrize("seed,max_inputs", sorted(GOLDEN))
     def test_optimizer_does_not_perturb_suite_bytes(
@@ -70,7 +61,7 @@ class TestDeterminismRegression:
         assert not unoptimized.optimized
         config = FuzzerConfig(max_seconds=600.0, max_inputs=max_inputs, seed=seed)
         result = Fuzzer(schedule, config, compiled=unoptimized).run()
-        assert _suite_digest(result.suite) == self.GOLDEN[(seed, max_inputs)]
+        assert result.suite.digest() == self.GOLDEN[(seed, max_inputs)]
 
     def test_run_campaign_workers1_is_byte_identical(self, schedule):
         config = FuzzerConfig(max_seconds=600.0, max_inputs=300, seed=7, workers=1)

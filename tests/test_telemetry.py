@@ -284,7 +284,7 @@ class TestByteIdentity:
     """Telemetry on/off must not perturb the campaign byte stream."""
 
     def test_suite_digest_unchanged_with_telemetry_on(self, schedule, tmp_path):
-        from test_parallel import TestDeterminismRegression, _suite_digest
+        from test_parallel import TestDeterminismRegression
 
         seed, max_inputs = 7, 300
         want = TestDeterminismRegression.GOLDEN[(seed, max_inputs)]
@@ -297,7 +297,7 @@ class TestByteIdentity:
         config = FuzzerConfig(max_seconds=600.0, max_inputs=max_inputs, seed=seed)
         result = Fuzzer(schedule, config, telemetry=tel).run()
         tel.close()
-        assert _suite_digest(result.suite) == want
+        assert result.suite.digest() == want
 
 
 class TestCliFlags:

@@ -18,7 +18,6 @@ Designed for CI (one mode per matrix job, or all modes in one go):
 """
 
 import argparse
-import hashlib
 import os
 import shutil
 import sys
@@ -57,14 +56,6 @@ MODES = ("worker_death", "slow_exec", "cache_corrupt", "trace_io_error", "watchd
 def check(label: str, ok: bool) -> bool:
     print("  %-52s %s" % (label, "ok" if ok else "FAIL"))
     return ok
-
-
-def suite_digest(suite) -> str:
-    h = hashlib.sha256()
-    for case in suite:
-        h.update(len(case.data).to_bytes(4, "little"))
-        h.update(case.data)
-    return h.hexdigest()
 
 
 def run_campaign_traced(schedule, profile, workdir, tag, **overrides):
@@ -121,7 +112,7 @@ def run_mode(mode: str, schedule, goldens, workdir) -> int:
             )
             failures += not check(
                 "merged suite digest matches fault-free golden",
-                suite_digest(result.suite) == golden,
+                result.suite.digest() == golden,
             )
             failures += not check(
                 "worker failure + respawn recorded in trace",
@@ -145,7 +136,7 @@ def run_mode(mode: str, schedule, goldens, workdir) -> int:
         )
         failures += not check(
             "merged suite digest matches fault-free golden",
-            suite_digest(result.suite) == golden,
+            result.suite.digest() == golden,
         )
         failures += not check(
             "hang detected and slot respawned",
@@ -174,7 +165,7 @@ def run_mode(mode: str, schedule, goldens, workdir) -> int:
             )
             failures += not check(
                 "merged suite digest matches fault-free golden",
-                suite_digest(result.suite) == golden,
+                result.suite.digest() == golden,
             )
             failures += not check(
                 "poisoned entry quarantined", store.quarantined >= 1
@@ -200,7 +191,7 @@ def run_mode(mode: str, schedule, goldens, workdir) -> int:
         )
         failures += not check(
             "merged suite digest matches fault-free golden",
-            suite_digest(result.suite) == golden,
+            result.suite.digest() == golden,
         )
         failures += not check(
             "sink degraded to no-trace (io_errors counted)", tel.io_errors >= 1
@@ -254,7 +245,7 @@ def main() -> int:
             result, _, _ = run_campaign_traced(
                 sched, profile, workdir, "golden-%s" % profile_tag
             )
-            golden_cache[profile_tag] = suite_digest(result.suite)
+            golden_cache[profile_tag] = result.suite.digest()
         return golden_cache[profile_tag]
 
     failures = 0
