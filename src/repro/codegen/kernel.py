@@ -1903,7 +1903,6 @@ class _KernelLib:
     """ctypes view over one built kernel shared object."""
 
     def __init__(self, so_path: str):
-        self.so_path = so_path
         lib = ctypes.CDLL(so_path)
         # the stamp comes first: another ABI's meta block may be shorter
         self.abi_version = ctypes.c_int64.in_dll(lib, "kern_meta").value
@@ -2206,10 +2205,6 @@ class CompiledKernel:
 # memory tier rather than living inside it)
 _LOADED: Dict[str, CompiledKernel] = {}
 
-# tempdirs backing uncached builds; kept alive for the process lifetime
-# because the dlopened .so must stay on disk
-_SCRATCH_DIRS: List[str] = []
-
 
 def clear_kernel_memory() -> None:
     """Drop the in-process kernel handle cache (tests)."""
@@ -2303,34 +2298,40 @@ def compile_kernel(compiled, cache: bool = True) -> CompiledKernel:
         )
     with tel.phase("kernel_lower"):
         c_source = lower_kernel_source(schedule, compiled.source)
+    temp_dir = None
     if store is not None and key is not None:
         c_path, so_path = store.native_paths(key)
         build_dir = os.path.dirname(so_path)
         os.makedirs(build_dir, exist_ok=True)
     else:
-        build_dir = tempfile.mkdtemp(prefix="repro-kernel-")
-        _SCRATCH_DIRS.append(build_dir)
+        # an uncached build's directory goes once its .so is loaded (a
+        # dlopened library stays mapped) or its build has failed
+        build_dir = temp_dir = tempfile.mkdtemp(prefix="repro-kernel-")
         c_path = os.path.join(build_dir, "kernel.c")
         so_path = os.path.join(build_dir, "kernel.so")
-    fd, tmp_c = tempfile.mkstemp(dir=build_dir, suffix=".c")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(c_source)
-    fd, tmp_so = tempfile.mkstemp(dir=build_dir, suffix=".so")
-    os.close(fd)
-    os.unlink(tmp_so)
     try:
-        with tel.phase("kernel_cc"):
-            build_shared_object(tmp_c, tmp_so)
-        os.replace(tmp_c, c_path)
-        os.replace(tmp_so, so_path)
+        fd, tmp_c = tempfile.mkstemp(dir=build_dir, suffix=".c")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(c_source)
+        fd, tmp_so = tempfile.mkstemp(dir=build_dir, suffix=".so")
+        os.close(fd)
+        os.unlink(tmp_so)
+        try:
+            with tel.phase("kernel_cc"):
+                build_shared_object(tmp_c, tmp_so)
+            os.replace(tmp_c, c_path)
+            os.replace(tmp_so, so_path)
+        finally:
+            for leftover in (tmp_c, tmp_so):
+                try:
+                    os.unlink(leftover)
+                except OSError:
+                    pass
+        klib = _KernelLib(so_path)
+        klib.validate_for(schedule)
     finally:
-        for leftover in (tmp_c, tmp_so):
-            try:
-                os.unlink(leftover)
-            except OSError:
-                pass
-    klib = _KernelLib(so_path)
-    klib.validate_for(schedule)
+        if temp_dir is not None:
+            shutil.rmtree(temp_dir, ignore_errors=True)
     compiled = CompiledKernel(
         schedule, level, klib, c_source=c_source, optimized=optimize
     )

@@ -20,8 +20,9 @@ worker processes:
 
 The pool machinery here (worker loop, slice runner, supervision, fault
 shipping, config pinning, trace absorb) is shared with the campaign
-service (:mod:`repro.service.scheduler`), which keeps only its own
-policy: round-robin job slices and durable snapshots.
+service, whose daemon (:class:`repro.service.daemon.ServiceDaemon`)
+keeps only its own policy: round-robin job slices, per-job failure
+budgets and durable snapshots.
 
 **Supervision.**  A worker that dies (crash, OOM-kill, injected
 ``worker_death`` fault) or goes silent past its deadline (hung generated
@@ -322,7 +323,7 @@ class WorkerPool:
 
     Owns the processes, one shared result queue, and each busy slot's
     payload, hang grace and deadline.  :class:`ParallelFuzzer` (one
-    campaign) and the service scheduler (many jobs over one long-lived
+    campaign) and the service daemon (many jobs over one long-lived
     pool) drive it alike: :meth:`dispatch`, then :meth:`collect` for
     heartbeats, results and failures.  On a failure the caller charges
     its own budget and emits its own events, then calls :meth:`retry`
@@ -524,10 +525,14 @@ class ParallelFuzzer:
     def run(self) -> FuzzResult:
         config = self.config
         if config.workers == 1:
-            # the classic path: byte-identical single-process behavior
+            # the classic path: byte-identical single-process behavior;
+            # the model-level artifact serves replay, and fuzzing too when
+            # the config fuzzes at model level
+            main = self._compiled if config.level == "model" else None
             return Fuzzer(
                 self.schedule,
                 config,
+                compiled=main,
                 replay_compiled=self._compiled,
                 telemetry=self.telemetry,
             ).run()
@@ -825,20 +830,12 @@ def run_campaign(
     start_method: Optional[str] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> FuzzResult:
-    """Route a campaign by ``config.workers``: 1 = classic engine, N>1 =
-    the multiprocessing campaign.  ``compiled`` is an optional cached
-    model-level artifact reused for merge and replay.  ``telemetry``
-    overrides the active process-local registry for this campaign."""
-    config = config or FuzzerConfig()
-    if config.workers < 1:
-        raise FuzzingError("workers must be >= 1")
-    if config.workers == 1:
-        main = compiled if (compiled is not None and compiled.level == config.level) else None
-        return Fuzzer(
-            schedule, config, compiled=main, replay_compiled=compiled,
-            telemetry=telemetry,
-        ).run()
+    """Run a campaign of ``config.workers`` workers (default 1) through
+    :class:`ParallelFuzzer`, which runs ``workers=1`` on the classic
+    engine.  ``compiled`` is an optional cached model-level artifact
+    reused for merge and replay.  ``telemetry`` overrides the active
+    process-local registry for this campaign."""
     return ParallelFuzzer(
-        schedule, config, compiled=compiled, start_method=start_method,
-        telemetry=telemetry,
+        schedule, config or FuzzerConfig(), compiled=compiled,
+        start_method=start_method, telemetry=telemetry,
     ).run()

@@ -1,12 +1,23 @@
-"""The campaign-service daemon: store + queue + pool + scheduler + API.
+"""The campaign-service daemon: store + queue + pool + dispatch loop + API.
 
 One :class:`ServiceDaemon` owns the durable :class:`~repro.service.
-store.JobStore`, the FIFO :class:`~repro.service.queue.JobQueue`, a
-shared :class:`~repro.fuzzing.parallel.WorkerPool` sized from
-:func:`repro.cpu.available_cpus`, the :class:`~repro.service.scheduler.
-Scheduler` thread and the HTTP :class:`~repro.service.api.ServiceAPI`.
-It is equally usable in-process (tests construct and ``start()`` it
+store.JobStore`, a FIFO queue of job ids, a shared
+:class:`~repro.fuzzing.parallel.WorkerPool` sized from
+:func:`repro.cpu.available_cpus`, the dispatch loop that maps queued jobs
+onto free pool slots (one thread running :meth:`ServiceDaemon._schedule`)
+and the HTTP :class:`~repro.service.api.ServiceAPI`.  The job spec and
+the pool workers' side live in :mod:`repro.service.scheduler`.  The
+daemon is equally usable in-process (tests construct and ``start()`` it
 directly) and as the ``repro serve`` CLI daemon.
+
+Dispatch is round-robin: the loop pops the queue head onto a free slot,
+and a returned slice re-enqueues its job at the *tail*, so ``K``
+runnable jobs on an ``N``-slot pool each advance one slice per cycle and
+none starves behind a long campaign.  Supervision is the parallel
+campaign's :class:`WorkerPool` path (heartbeat, deadline, liveness,
+retry with backoff and faults stripped); only the failure budget
+differs: it is **per job** (``config.max_respawns``), so a job that
+keeps failing is failed alone while every other job continues.
 
 Job lifecycle::
 
@@ -26,14 +37,21 @@ deterministically.
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..cpu import available_cpus
 from ..errors import JobNotFound, JobSpecError, ServiceError
 from ..fuzzing.engine import FuzzerConfig, FuzzState
-from ..fuzzing.parallel import WorkerPool, resolved_config, ship_faults
+from ..fuzzing.parallel import (
+    WorkerPool,
+    absorb_trace,
+    backoff_seconds,
+    resolved_config,
+    ship_faults,
+)
 from ..telemetry.core import Telemetry
 from ..telemetry.events import read_trace
 from ..telemetry.metrics import (
@@ -43,11 +61,8 @@ from ..telemetry.metrics import (
 )
 from ..telemetry.server import CampaignStatus
 from .api import ServiceAPI
-from .queue import JobQueue
 from .scheduler import (
-    Scheduler,
     _service_worker_main,
-    absorb_part,
     build_job_config,
     load_model_schedule,
 )
@@ -59,6 +74,11 @@ __all__ = ["JobRunner", "ServiceDaemon"]
 _RING_SIZE = 512
 
 _FINISHED = ("done", "failed", "cancelled")
+
+
+def absorb_part(store: JobStore, job_id: str, telemetry: Telemetry) -> list:
+    """Fold the slice's trace.part into the job trace; return the events."""
+    return absorb_trace(telemetry, store.part_path(job_id))
 
 
 class JobRunner:
@@ -74,12 +94,6 @@ class JobRunner:
         self.state: Optional[FuzzState] = None
         self.status = CampaignStatus()
         self.ring: List[Dict] = []
-        #: failed slices charged to the ``max_respawns`` budget, and the
-        #: worker processes restarted for them (an ``err`` reply charges
-        #: the budget but restarts nothing); both continue from the
-        #: record, so a daemon restart keeps the budget spent
-        self.failures: int = record.get("failures", 0)
-        self.respawns: int = record.get("respawns", 0)
         self.cancel_requested = False
         self.full = False
         self.telemetry: Optional[Telemetry] = None
@@ -118,7 +132,8 @@ class ServiceDaemon:
         self.lock = threading.RLock()
         self.telemetry = Telemetry(enabled=False)
         self.store = JobStore(store_dir)
-        self.queue = JobQueue()
+        #: job ids in dispatch order; touched only under ``lock``
+        self.queue: Deque[str] = collections.deque()
         self.jobs: Dict[str, JobRunner] = {}
         self.pool_size = pool_size if pool_size else max(1, available_cpus())
         self.slice_inputs = slice_inputs
@@ -127,7 +142,8 @@ class ServiceDaemon:
         self._port = port
         self._started_mt = time.monotonic()
         self.pool: Optional[WorkerPool] = None
-        self.scheduler: Optional[Scheduler] = None
+        self._loop: Optional[threading.Thread] = None
+        self._stopping = threading.Event()
         self.api: Optional[ServiceAPI] = None
 
     # ----------------------------- lifecycle --------------------------- #
@@ -138,15 +154,18 @@ class ServiceDaemon:
             append=True,
         )
         self.store.telemetry = self.telemetry
-        self._recover()
+        with self.lock:
+            self._recover()
         self.pool = WorkerPool(
             self.pool_size,
             _service_worker_main,
             start_method=self.start_method,
         )
         self.pool.spawn_all()
-        self.scheduler = Scheduler(self)
-        self.scheduler.start()
+        self._loop = threading.Thread(
+            target=self._schedule, name="repro-service-scheduler", daemon=True
+        )
+        self._loop.start()
         self.api = ServiceAPI(self, port=self._port, host=self._host)
         self.api.start()
         self.store.write_endpoint(self.api.url)
@@ -156,9 +175,9 @@ class ServiceDaemon:
         """Graceful shutdown; running jobs stay resumable on disk."""
         if self.api is not None:
             self.api.close()
-        if self.scheduler is not None:
-            self.scheduler.stop()
-            self.scheduler.join(timeout=10.0)
+        if self._loop is not None:
+            self._stopping.set()
+            self._loop.join(timeout=10.0)
         if self.pool is not None:
             self.pool.shutdown()
         with self.lock:
@@ -201,9 +220,9 @@ class ServiceDaemon:
                 record["resumed"] = True
                 self.store.save_job(record)
                 self._emit_state(runner, "resumed")
-                self.queue.push(job_id)
+                self.queue.append(job_id)
             elif state == "queued":
-                self.queue.push(job_id)
+                self.queue.append(job_id)
 
     # ----------------------------- submission --------------------------- #
     def submit(self, spec) -> str:
@@ -217,7 +236,9 @@ class ServiceDaemon:
         config = build_job_config(spec.get("config"))
         slice_inputs = spec.get("slice_inputs", self.slice_inputs)
         if slice_inputs is not None and (
-            not isinstance(slice_inputs, int) or slice_inputs < 1
+            not isinstance(slice_inputs, int)
+            or isinstance(slice_inputs, bool)
+            or slice_inputs < 1
         ):
             raise JobSpecError("slice_inputs must be a positive integer")
         with self.lock:
@@ -246,14 +267,14 @@ class ServiceDaemon:
             )
             self.jobs[job_id] = runner
             self._emit_state(runner, "queued")
-            self.queue.push(job_id)
+            self.queue.append(job_id)
         return job_id
 
     def cancel(self, job_id: str) -> str:
         """DELETE /jobs/<id>: cancel a queued or running job.
 
         A queued job is cancelled immediately; a running one is flagged
-        and the scheduler reaps its slot on the next loop pass.  Raises
+        and the dispatch loop reaps its slot on its next pass.  Raises
         :class:`JobNotFound` for unknown ids, :class:`ServiceError` for
         already-finished jobs (the HTTP 409 class).
         """
@@ -268,12 +289,131 @@ class ServiceDaemon:
                 )
             runner.cancel_requested = True
             if state == "queued":
-                self.queue.remove(job_id)
+                # absent only when a dispatch popped it and then raised
+                if job_id in self.queue:
+                    self.queue.remove(job_id)
                 self._finish_locked(runner, "cancelled")
                 return "cancelled"
         return "cancelling"
 
-    # ------------------- scheduler-facing job mutation ------------------ #
+    # ----------------------------- dispatch loop ------------------------ #
+    def _schedule(self) -> None:
+        """The dispatch loop, on its own thread until :meth:`stop`.
+
+        Each pass reaps the slots of cancelled jobs, hands queued jobs to
+        free slots in FIFO order, then routes the pool's heartbeats,
+        results and failures.  The in-flight bookkeeping and the
+        supervision path are the shared :class:`WorkerPool`'s; only this
+        thread drives the pool, and all job mutation happens under
+        ``lock``, so API threads see consistent records.
+        """
+        pool = self.pool
+        while not self._stopping.is_set():
+            try:
+                self._reap_cancelled()
+                self._dispatch()
+                for kind, slot, body in pool.collect():
+                    if kind == "hb":
+                        with self.lock:
+                            runner = self.jobs[pool.payloads[slot]["job"]]
+                            runner.status.worker_update(slot, phase="running")
+                    elif kind == "failed":
+                        self._slice_failed(slot, body)
+                    elif body["action"] == "finalize":
+                        self.complete_job(body["job"], body)
+                    else:
+                        self.advance_job(body["job"], body)
+            except Exception as exc:  # noqa: BLE001 - the loop must live
+                self._emit(
+                    None,
+                    "fault",
+                    kind="scheduler_error",
+                    error="%s: %s" % (type(exc).__name__, exc),
+                )
+
+    def _reap_cancelled(self) -> None:
+        """Reap the slot of every running job whose cancel flag is set."""
+        pool = self.pool
+        for slot, payload in list(pool.payloads.items()):
+            with self.lock:
+                runner = self.jobs[payload["job"]]
+                if not runner.cancel_requested:
+                    continue
+            pool.reap(slot)
+            pool.spawn(slot)
+            pool.release(slot)
+            with self.lock:
+                self._finish_locked(runner, "cancelled")
+
+    def _dispatch(self) -> None:
+        """Pop queued jobs onto free slots until either runs out."""
+        pool = self.pool
+        for slot in range(pool.size):
+            if slot in pool.payloads:
+                continue
+            payload = None
+            with self.lock:
+                while payload is None and self.queue:
+                    payload = self.next_payload(self.queue.popleft(), slot)
+            if payload is None:
+                return
+            # hang deadline: the slice's wall budget left (a finalize
+            # replay has none) plus the configured grace, at least 5 s
+            budget = payload.get("max_seconds") or 0.0
+            grace = budget + max(payload["config"].worker_timeout, 5.0)
+            pool.dispatch(slot, payload, grace)
+
+    def _slice_failed(self, slot: int, reason: str) -> None:
+        """A slice failed: charge it to its job's ``failures`` budget
+        (``config.max_respawns`` failures are allowed), then retry it
+        after a backoff, or fail that job alone and keep the slot
+        healthy for the other jobs."""
+        pool = self.pool
+        payload = pool.payloads[slot]
+        job_id, epoch = payload["job"], payload["epoch"]
+        with self.lock:
+            runner = self.jobs[job_id]
+            record = runner.record
+            attempt = record["failures"] = record.get("failures", 0) + 1
+            self._emit(
+                runner,
+                "fault",
+                kind="worker_failure",
+                job=job_id,
+                worker=slot,
+                epoch=epoch,
+                error=reason,
+            )
+            spent = attempt > runner.config.max_respawns
+            if spent:
+                self._emit(
+                    runner,
+                    "fault",
+                    kind="job_degraded",
+                    job=job_id,
+                    worker=slot,
+                    epoch=epoch,
+                    error=reason,
+                )
+                record["error"] = "respawn budget (%d) exhausted: %s" % (
+                    runner.config.max_respawns,
+                    reason,
+                )
+                self._finish_locked(runner, "failed")
+            else:
+                self.store.save_job(record)
+        if spent:
+            pool.release(slot)
+            if not pool.alive(slot):
+                pool.spawn(slot)
+            return
+        delay = backoff_seconds(attempt)
+        if not pool.alive(slot):
+            self.job_respawn(job_id, slot, epoch, attempt, delay)
+        self.store.discard_part(job_id)
+        pool.retry(slot, delay)
+
+    # ------------------------ loop-side job mutation -------------------- #
     def next_payload(self, job_id: str, slot: int) -> Optional[Dict]:
         """Build the next dispatch for a job, or ``None`` to skip it.
 
@@ -281,11 +421,8 @@ class ServiceDaemon:
         once the budget (or the full-coverage stop) is reached.
         """
         with self.lock:
-            runner = self.jobs.get(job_id)
-            if runner is None or runner.record["state"] not in (
-                "queued",
-                "running",
-            ):
+            runner = self.jobs[job_id]
+            if runner.record["state"] not in ("queued", "running"):
                 return None
             if runner.cancel_requested:
                 self._finish_locked(runner, "cancelled")
@@ -348,9 +485,7 @@ class ServiceDaemon:
     def advance_job(self, job_id: str, body: Dict) -> None:
         """One slice returned: snapshot, record, re-enqueue at the tail."""
         with self.lock:
-            runner = self.jobs.get(job_id)
-            if runner is None:
-                return
+            runner = self.jobs[job_id]
             if runner.cancel_requested:
                 self._finish_locked(runner, "cancelled")
                 return
@@ -387,16 +522,14 @@ class ServiceDaemon:
                 corpus=body["corpus"],
                 cases=body["cases"],
             )
-            self.queue.push(job_id)
+            self.queue.append(job_id)
 
     def complete_job(self, job_id: str, body: Dict) -> None:
         """The finalize replay returned: persist the result, mark done."""
         from ..fuzzing.testcase import TestCase, TestSuite
 
         with self.lock:
-            runner = self.jobs.get(job_id)
-            if runner is None:
-                return
+            runner = self.jobs[job_id]
             suite = TestSuite(tool="cftcg")
             for data, found_at, origin in body["cases"]:
                 suite.add(TestCase(data, found_at, origin))
@@ -429,61 +562,16 @@ class ServiceDaemon:
             )
             self._finish_locked(runner, "done")
 
-    def job_failure(
-        self, job_id: str, slot: int, epoch: int, reason: str
-    ) -> Optional[int]:
-        """Charge a failed slice to the job's ``failures`` budget
-        (``config.max_respawns`` failures are allowed).
-
-        Returns the attempt number when the scheduler should retry, or
-        ``None`` when the job is failed (budget spent) — in which case
-        every *other* job is unaffected: the scheduler keeps the pool
-        slot healthy for them.
-        """
-        with self.lock:
-            runner = self.jobs.get(job_id)
-            if runner is None:
-                return None
-            runner.failures += 1
-            runner.record["failures"] = runner.failures
-            self._emit(
-                runner,
-                "fault",
-                kind="worker_failure",
-                job=job_id,
-                worker=slot,
-                epoch=epoch,
-                error=reason,
-            )
-            if runner.failures > runner.config.max_respawns:
-                self._emit(
-                    runner,
-                    "fault",
-                    kind="job_degraded",
-                    job=job_id,
-                    worker=slot,
-                    epoch=epoch,
-                    error=reason,
-                )
-                runner.record["error"] = (
-                    "respawn budget (%d) exhausted: %s"
-                    % (runner.config.max_respawns, reason)
-                )
-                self._finish_locked(runner, "failed")
-                return None
-            self.store.save_job(runner.record)
-            return runner.failures
-
     def job_respawn(
         self, job_id: str, slot: int, epoch: int, attempt: int, backoff: float
     ) -> None:
+        """A failed slice's worker died: count the restart on the record
+        (an ``err`` retry restarts nothing and is not counted)."""
         with self.lock:
-            runner = self.jobs.get(job_id)
-            if runner is None:
-                return
-            runner.respawns += 1
-            runner.record["respawns"] = runner.respawns
-            self.store.save_job(runner.record)
+            runner = self.jobs[job_id]
+            record = runner.record
+            respawns = record["respawns"] = record.get("respawns", 0) + 1
+            self.store.save_job(record)
             self._emit(
                 runner,
                 "worker_respawn",
@@ -493,33 +581,7 @@ class ServiceDaemon:
                 attempt=attempt,
                 backoff_s=round(backoff, 3),
             )
-            runner.status.update(phase="respawning", respawns=runner.respawns)
-
-    def job_heartbeat(self, job_id: str, slot: int) -> None:
-        with self.lock:
-            runner = self.jobs.get(job_id)
-            if runner is not None:
-                runner.status.worker_update(slot, phase="running")
-
-    def cancel_pending(self, job_id: str) -> bool:
-        with self.lock:
-            runner = self.jobs.get(job_id)
-            return runner is not None and runner.cancel_requested
-
-    def finish_job(self, job_id: str, state: str) -> None:
-        with self.lock:
-            runner = self.jobs.get(job_id)
-            if runner is not None:
-                self._finish_locked(runner, state)
-
-    def scheduler_fault(self, exc: BaseException) -> None:
-        """A scheduler-loop error: record it, keep the loop alive."""
-        self._emit(
-            None,
-            "fault",
-            kind="scheduler_error",
-            error="%s: %s" % (type(exc).__name__, exc),
-        )
+            runner.status.update(phase="respawning", respawns=respawns)
 
     def _finish_locked(self, runner: JobRunner, state: str) -> None:
         """Terminal transition (caller holds the lock)."""
@@ -620,10 +682,11 @@ class ServiceDaemon:
             for runner in self.jobs.values():
                 state = runner.record["state"]
                 counts[state] = counts.get(state, 0) + 1
-            busy = self.scheduler.busy() if self.scheduler else 0
+            queue_depth = len(self.queue)
+            busy = len(self.pool.payloads) if self.pool else 0
         return {
             "jobs": counts,
-            "queue_depth": len(self.queue),
+            "queue_depth": queue_depth,
             "pool": {"size": self.pool_size, "busy": busy},
             "uptime_s": round(time.monotonic() - self._started_mt, 3),
             "store": self.store.root,
@@ -649,7 +712,7 @@ class ServiceDaemon:
                         record.get("covered", 0) / n_probes, 6
                     )
                 jobs[job_id] = gauges
-            busy = self.scheduler.busy() if self.scheduler else 0
+            busy = len(self.pool.payloads) if self.pool else 0
             extra = {
                 "service.jobs": len(self.jobs),
                 "service.queue_depth": len(self.queue),

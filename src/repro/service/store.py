@@ -150,7 +150,7 @@ class JobStore:
         """Read a job's snapshot; corruption quarantines just the file.
 
         Returns ``None`` for both a missing and a quarantined snapshot:
-        the scheduler restarts the job from a fresh state, which — same
+        the daemon restarts the job from a fresh state, which — same
         seed, same slicing — reproduces the campaign from the beginning
         rather than losing it.
         """

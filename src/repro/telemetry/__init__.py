@@ -3,7 +3,7 @@
 The subsystem CFTCG's rate argument deserves: LibFuzzer prints periodic
 stat lines and AFL writes ``plot_data``; our campaigns emit a structured
 JSONL **event trace** (:mod:`repro.telemetry.events` documents the
-schema), keep a registry of counters/gauges/histograms with phase-time
+schema), keep a registry of counters and gauges with phase-time
 attribution (:mod:`repro.telemetry.core`), print throttled status lines
 (:mod:`repro.telemetry.stats`), and reconstruct coverage-over-time curves
 plus mutation-operator effectiveness tables from a trace alone
@@ -26,7 +26,6 @@ from .core import (
     NULL,
     Counter,
     Gauge,
-    Histogram,
     Telemetry,
     get_telemetry,
     set_telemetry,
@@ -48,7 +47,6 @@ __all__ = [
     "NULL",
     "Counter",
     "Gauge",
-    "Histogram",
     "Telemetry",
     "get_telemetry",
     "set_telemetry",

@@ -1,4 +1,4 @@
-"""The telemetry registry: counters, gauges, histograms, phases, events.
+"""The telemetry registry: counters, gauges, phases, events.
 
 Design constraints (mirrored by ``benchmarks/bench_telemetry.py``):
 
@@ -32,7 +32,6 @@ from ..faults.plan import should_fire as _should_fire
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "Telemetry",
     "NULL",
     "get_telemetry",
@@ -63,43 +62,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-
-class Histogram:
-    """Streaming summary of a value distribution (count/min/max/total)."""
-
-    __slots__ = ("count", "total", "minimum", "maximum")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
-
-    def record(self, value: float) -> None:
-        if self.count == 0:
-            self.minimum = value
-            self.maximum = value
-        else:
-            if value < self.minimum:
-                self.minimum = value
-            if value > self.maximum:
-                self.maximum = value
-        self.count += 1
-        self.total += value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum if self.minimum is not None else 0.0,
-            "max": self.maximum if self.maximum is not None else 0.0,
-            "mean": self.mean,
-        }
 
 
 class _NullPhase:
@@ -231,7 +193,6 @@ class Telemetry:
         self._listeners: List = []
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._trace_fh: Optional[TextIO] = None
         if enabled and trace_path:
             self._trace_fh = open(
@@ -251,20 +212,11 @@ class Telemetry:
             metric = self._gauges[name] = Gauge()
         return metric
 
-    def histogram(self, name: str) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            metric = self._histograms[name] = Histogram()
-        return metric
-
     def snapshot(self) -> Dict[str, object]:
         """All metric values plus phase times, as one plain dict."""
         return {
             "counters": {k: c.value for k, c in sorted(self._counters.items())},
             "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
-            "histograms": {
-                k: h.as_dict() for k, h in sorted(self._histograms.items())
-            },
             "phases": dict(self.phase_times),
         }
 

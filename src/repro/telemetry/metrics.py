@@ -1,7 +1,7 @@
 """Prometheus text-exposition rendering of a telemetry snapshot.
 
 The :class:`~repro.telemetry.core.Telemetry` registry already holds
-everything a scrape needs — counters, gauges, histograms, phase times —
+everything a scrape needs — counters, gauges, phase times —
 this module only *renders* it, so the exporter adds zero bookkeeping to
 the fuzzing hot path.  The engine feeds the campaign gauges the exporter
 surfaces (:data:`ENGINE_GAUGES`: execs/s, corpus size, coverage
@@ -18,9 +18,8 @@ Exposition format (text/plain; version=0.0.4)::
 Metric-name mapping: registry names are dotted (``engine.execs_per_s``);
 exposition names are ``repro_`` + the name with every non-alphanumeric
 character folded to ``_``.  Counters get Prometheus' conventional
-``_total`` suffix; histograms expand to ``_count``/``_sum``/``_min``/
-``_max``; phase times become one ``repro_phase_seconds`` family with a
-``phase`` label.
+``_total`` suffix; phase times become one ``repro_phase_seconds``
+family with a ``phase`` label.
 """
 
 from __future__ import annotations
@@ -143,13 +142,6 @@ def render_prometheus(
             value,
             help_text=ENGINE_GAUGES.get(name),
         )
-    for name, hist in (snapshot.get("histograms") or {}).items():
-        base = metric_name(name)
-        out.append("# TYPE %s summary" % base)
-        out.append("%s_count %s" % (base, _fmt(hist.get("count", 0))))
-        out.append("%s_sum %s" % (base, _fmt(hist.get("total", 0.0))))
-        out.append("%s_min %s" % (base, _fmt(hist.get("min", 0.0))))
-        out.append("%s_max %s" % (base, _fmt(hist.get("max", 0.0))))
     phases = snapshot.get("phases") or {}
     if phases:
         out.append(

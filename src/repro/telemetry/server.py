@@ -4,7 +4,7 @@ A stdlib-only (:mod:`http.server`) daemon thread serving three
 endpoints while a campaign runs:
 
 ``/metrics``
-    The telemetry registry's counters/gauges/histograms/phase times in
+    The telemetry registry's counters, gauges and phase times in
     Prometheus text exposition format (:mod:`repro.telemetry.metrics`),
     plus server-side gauges (``repro_telemetry_io_errors_total``,
     ``repro_server_events_seen``, ``repro_server_uptime_s``).  Renders a

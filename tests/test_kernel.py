@@ -24,6 +24,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -581,6 +582,30 @@ class TestKernelCache:
         assert (qdir / os.path.basename(so_path)).exists()
         assert not os.path.exists(c_path)
         assert not os.path.exists(so_path)
+
+    @skip_if_no_cc
+    def test_uncached_build_leaves_no_directory(
+        self, schedule, tmp_path, monkeypatch
+    ):
+        """An uncached build removes its temp directory once the .so is
+        loaded, or once its build failed; the loaded kernel still runs."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        compiled = compile_model(schedule, "model")
+        ck = compile_kernel(compiled, cache=False)
+        assert os.listdir(tmp_path) == []
+        size = schedule.layout.size
+        streams = [bytes(size * 4), bytes(size * 2)]
+        kdriver = compile_kernel_fuzz_driver(schedule)
+        results = kdriver(ck.instantiate_kernel(2), None, streams, 0)
+        assert [r[3] for r in results] == [4, 2]
+
+        def broken(c_path, so_path):
+            raise KernelBuildError("injected build failure")
+
+        monkeypatch.setattr(kernel_mod, "build_shared_object", broken)
+        with pytest.raises(KernelBuildError):
+            compile_kernel(compiled, cache=False)
+        assert os.listdir(tmp_path) == []
 
 
 # -------------------------------------------------------------------- #

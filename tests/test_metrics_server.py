@@ -60,16 +60,6 @@ class TestPrometheusFormat:
         assert samples["repro_cache_hits_total"] == 3.0
         assert "# TYPE repro_cache_hits_total counter" in text
 
-    def test_histograms_expand_to_count_sum_min_max(self):
-        tel = Telemetry(enabled=True)
-        tel.histogram("exec.batch").record(1.0)
-        tel.histogram("exec.batch").record(3.0)
-        samples = parse_exposition(render_prometheus(tel.snapshot()))
-        assert samples["repro_exec_batch_count"] == 2.0
-        assert samples["repro_exec_batch_sum"] == 4.0
-        assert samples["repro_exec_batch_min"] == 1.0
-        assert samples["repro_exec_batch_max"] == 3.0
-
     def test_phase_times_are_labeled_samples(self):
         tel = Telemetry(enabled=True)
         tel.add_phase("seed", 0.25)

@@ -226,6 +226,7 @@ class TestServiceAPI:
             {"model": "CPUTask", "config": {"bogus_field": 1}},
             {"model": "CPUTask", "config": {"workers": 2}},
             {"model": "CPUTask", "slice_inputs": 0},
+            {"model": "CPUTask", "slice_inputs": True},
             {"model": "CPUTask", "config": "seed=7"},
             {"model": "CPUTask", "config": {"kernel": "maybe"}},
             {"model": "CPUTask", "config": {"lanes": 0}},
@@ -481,6 +482,34 @@ class TestErroringSlices:
         assert "has no inports" in bad_frame["error"]
         assert good_frame["state"] == "done", good_frame
         assert result["digest"] == standalone_digest(model, **good_config)
+
+
+# -------------------------------------------------------------------- #
+# a hung slice: deadline, reap, respawn, retry
+# -------------------------------------------------------------------- #
+class TestHungSlice:
+    def test_hung_slice_is_reaped_and_retried(self, tmp_path):
+        """A slice that hangs past its deadline (wall budget left plus
+        the grace) is reaped, its worker respawned and the slice retried
+        without the fault: the job ends done with one failure, one
+        respawn and the standalone digest."""
+        model = demo_slxz(tmp_path)
+        config = dict(GOLDEN, seed=7, max_seconds=1.0, worker_timeout=0.5)
+        with fault_scope(parse_faults("slow_exec:times=1:seconds=60")):
+            svc = ServiceDaemon(str(tmp_path / "store"), pool_size=1)
+            svc.start()
+            try:
+                client = Client(svc.api.url)
+                _, body = client.post(
+                    "/jobs", {"model": model, "config": config}
+                )
+                frame = client.wait(body["id"])
+                _, result = client.get("/jobs/%s/results" % body["id"])
+            finally:
+                svc.stop()
+        assert frame["state"] == "done", frame
+        assert frame["failures"] == frame["respawns"] == 1
+        assert result["digest"] == standalone_digest(model, **config)
 
 
 # -------------------------------------------------------------------- #

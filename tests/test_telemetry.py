@@ -75,15 +75,9 @@ class TestTelemetryCore:
         tel.counter("c").inc()
         tel.counter("c").inc(4)
         tel.gauge("g").set(2.5)
-        tel.histogram("h").record(1.0)
-        tel.histogram("h").record(3.0)
         snap = tel.snapshot()
         assert snap["counters"]["c"] == 5
         assert snap["gauges"]["g"] == 2.5
-        assert snap["histograms"]["h"]["count"] == 2
-        assert snap["histograms"]["h"]["mean"] == 2.0
-        assert snap["histograms"]["h"]["min"] == 1.0
-        assert snap["histograms"]["h"]["max"] == 3.0
 
     def test_phase_accumulates(self):
         tel = Telemetry(enabled=False)  # phases stay live when disabled
