@@ -9,13 +9,20 @@ code-level instrumentation).
 
 from repro.experiments.fig8 import render_fig8, run_fig8
 
-from conftest import write_result
+from conftest import engine_note, write_result
 
 
 def test_fig8_model_oriented_ablation(benchmark):
     rows = benchmark.pedantic(run_fig8, rounds=1, iterations=1)
     assert len(rows) == 16  # 8 models x 2 configurations
-    write_result("fig8.txt", render_fig8(rows))
+    write_result(
+        "fig8.txt",
+        "\n".join([
+            render_fig8(rows),
+            engine_note(rows, "cftcg", "CFTCG"),
+            engine_note(rows, "fuzz_only", "Fuzz Only"),
+        ]),
+    )
 
     def avg(tool, metric):
         values = [r[metric] for r in rows if r["tool"] == tool]

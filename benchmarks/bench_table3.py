@@ -15,13 +15,16 @@ from repro.experiments.table3 import (
     run_table3,
 )
 
-from conftest import write_result
+from conftest import engine_note, write_result
 
 
 def test_table3_coverage_comparison(benchmark):
     rows = benchmark.pedantic(run_table3, rounds=1, iterations=1)
     assert len(rows) == 24  # 8 models x 3 tools
-    write_result("table3.txt", render_table3(rows))
+    write_result(
+        "table3.txt",
+        render_table3(rows) + "\n" + engine_note(rows, "cftcg", "CFTCG"),
+    )
 
     improvements = average_improvement(rows)
     for baseline in ("sldv", "simcotest"):

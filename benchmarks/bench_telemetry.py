@@ -5,7 +5,8 @@ Standalone script (not pytest-benchmark) so CI can run it directly and
 assert on the result:
 
 * **execs/s overhead** — the same fixed-budget campaign on the demo
-  model, telemetry disabled versus fully enabled (JSONL trace + status
+  model's scalar engine (``kernel="off"``: the generated Python step),
+  telemetry disabled versus fully enabled (JSONL trace + status
   lines to a sink); the enabled arm must stay within ``--max-overhead``
   percent (default 3) of the disabled one.  Both arms advance in
   alternating fixed-input ``resume`` slices (0.04-0.4 s as the corpus
@@ -63,7 +64,11 @@ SLICE_INPUTS = 500  # inputs per resume slice: 0.04-0.4 s on a 2-vCPU host
 
 
 def _scalar_config(seed, max_inputs):
-    return FuzzerConfig(max_seconds=600.0, max_inputs=max_inputs, seed=seed)
+    # kernel="off" pins the Python step: a default config runs the
+    # one-lane kernel wherever a C compiler is present
+    return FuzzerConfig(
+        max_seconds=600.0, max_inputs=max_inputs, seed=seed, kernel="off"
+    )
 
 
 def _run(schedule, seed, max_inputs, telemetry):

@@ -10,6 +10,7 @@ with a larger budget.
 """
 
 import os
+from collections import Counter
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -21,3 +22,17 @@ def write_result(name: str, text: str) -> str:
         handle.write(text + "\n")
     print("\n" + text)
     return path
+
+
+def engine_note(rows, tool: str, label: str) -> str:
+    """``<label> engine (lanes=1): ...`` — the engine ``tool``'s runs
+    ran on, per model, read from the experiment's own rows."""
+    engines = Counter(row["engine"] for row in rows if row["tool"] == tool)
+    n_models = sum(engines.values())
+    return "%s engine (lanes=1): %s" % (
+        label,
+        ", ".join(
+            "%s on %d of %d models" % (engine, n, n_models)
+            for engine, n in sorted(engines.items())
+        ),
+    )

@@ -421,19 +421,20 @@ def main(argv=None) -> int:
         type=_lanes_arg,
         default=1,
         metavar="N",
-        help="lane-parallel execution: step N inputs per call through "
-        "the native kernel (max 256; needs a C compiler, else the "
-        "campaign runs scalar); 'auto' = 64 unless "
-        "--kernel off; default 1 = the scalar engine",
+        help="batch width: step N inputs per native kernel call (max "
+        "256); it does not choose the engine.  Default 1 absorbs each "
+        "input before the next is mutated, byte-identical to the scalar "
+        "engine; 'auto' = 64 unless --kernel off",
     )
     p.add_argument(
         "--kernel",
         choices=("auto", "on", "off"),
         default="auto",
-        help="fused native kernel backend: 'auto' uses it whenever lanes>1 "
-        "and a C compiler is available, 'on' requests it even at one "
-        "lane, 'off' disables it; every fallback to the scalar engine "
-        "is reported via fault telemetry (default auto)",
+        help="fused native kernel backend: 'auto' runs it at any lane "
+        "count whenever a C compiler can build it, 'on' is the same as "
+        "'auto', 'off' runs the generated Python step instead; every "
+        "fallback to the scalar engine is reported via fault telemetry "
+        "(default auto)",
     )
     p.add_argument(
         "--kernel-threads",

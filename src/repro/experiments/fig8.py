@@ -26,7 +26,8 @@ def run_fig8(
     budget: Optional[float] = None,
     repeats: Optional[int] = None,
 ) -> List[Dict]:
-    """Rows of (model, tool, DC/CC/MCDC) averaged over seeds."""
+    """Rows of (model, tool, DC/CC/MCDC) averaged over seeds, with the
+    engine the fuzzing loops ran on."""
     models = list(models or MODEL_ORDER)
     budget = budget if budget is not None else tool_budget()
     repeats = repeats if repeats is not None else repeat_count()
@@ -34,10 +35,11 @@ def run_fig8(
     for name in models:
         schedule = build_schedule(name)
         for tool in FIG8_TOOLS:
-            reports = [
-                run_tool(tool, schedule, budget, seed=seed).report
+            results = [
+                run_tool(tool, schedule, budget, seed=seed)
                 for seed in range(repeats)
             ]
+            reports = [r.report for r in results]
             rows.append(
                 {
                     "model": name,
@@ -45,6 +47,7 @@ def run_fig8(
                     "decision": sum(r.decision for r in reports) / len(reports),
                     "condition": sum(r.condition for r in reports) / len(reports),
                     "mcdc": sum(r.mcdc for r in reports) / len(reports),
+                    "engine": "/".join(sorted({r.engine for r in results})),
                 }
             )
     return rows

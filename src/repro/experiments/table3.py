@@ -31,7 +31,8 @@ def run_table3(
     budget: Optional[float] = None,
     repeats: Optional[int] = None,
 ) -> List[Dict]:
-    """Produce rows: one per (model, tool) with averaged DC/CC/MCDC."""
+    """Produce rows: one per (model, tool) with averaged DC/CC/MCDC and
+    the engine its fuzzing loops ran on (``""`` for a baseline)."""
     models = list(models or MODEL_ORDER)
     budget = budget if budget is not None else tool_budget()
     repeats = repeats if repeats is not None else repeat_count()
@@ -41,10 +42,11 @@ def run_table3(
         compiled = compile_model(schedule, "model")  # shared replay artifact
         for tool in TABLE3_TOOLS:
             seeds = range(repeats) if tool in _RANDOMIZED else range(1)
-            reports = [
-                run_tool(tool, schedule, budget, seed=seed, compiled=compiled).report
+            results = [
+                run_tool(tool, schedule, budget, seed=seed, compiled=compiled)
                 for seed in seeds
             ]
+            reports = [r.report for r in results]
             rows.append(
                 {
                     "model": name,
@@ -53,6 +55,7 @@ def run_table3(
                     "condition": sum(r.condition for r in reports) / len(reports),
                     "mcdc": sum(r.mcdc for r in reports) / len(reports),
                     "runs": len(reports),
+                    "engine": "/".join(sorted({r.engine for r in results})),
                 }
             )
     return rows

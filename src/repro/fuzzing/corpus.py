@@ -62,9 +62,9 @@ class Corpus:
         New-coverage finders are never evicted before metric-only entries;
         within a class, lowest metric goes first.  An entry strictly weaker
         than everything resident is *rejected up front* rather than added
-        and immediately evicted — it was never selectable, so admitting it
-        would emit a bogus ``corpus_add``/``corpus_evict`` telemetry pair
-        and corrupt discovery ranks.  Returns the displaced entry: ``None``
+        and immediately evicted — it was never selectable, so it must not
+        count as an admission (the ``mutation_stats`` wins of its
+        operators).  Returns the displaced entry: ``None``
         (admitted, nobody evicted), a resident entry (admitted, weakest
         resident evicted), or ``entry`` itself (rejected).
         """

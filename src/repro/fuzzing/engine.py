@@ -1,10 +1,12 @@
 """The model-oriented fuzzing loop (paper Fig. 2, right column).
 
-Pipeline per run: compile the instrumented model code, compile the
-generated fuzz driver, then loop — select a corpus parent, apply
-field-wise tuple mutations, execute the driver (Algorithm 1), emit test
-cases on new model coverage, keep high-Iteration-Difference inputs as
-seeds.  Deterministic under a fixed ``seed``.
+Pipeline per run: compile the instrumented model code and its fuzz
+driver (the fused native kernel, or the optimized Python module and the
+generated Python driver when no kernel can be built), then loop —
+select a corpus parent, apply field-wise tuple mutations, execute the
+driver (Algorithm 1), emit test cases on new model coverage, keep
+high-Iteration-Difference inputs as seeds.  Deterministic under a
+fixed ``seed``.
 
 Ablation knobs (all used by the paper's experiments):
 
@@ -43,7 +45,7 @@ from .testcase import TestCase, TestSuite
 
 __all__ = [
     "FuzzerConfig", "FuzzResult", "FuzzState", "Fuzzer", "check_config",
-    "replay_suite",
+    "engine_key", "replay_suite",
 ]
 
 #: multiplier decorrelating the per-slice RNG streams of resumed runs
@@ -98,21 +100,21 @@ class FuzzerConfig:
     worker_timeout: float = 30.0
     #: parallel supervision: respawn budget per worker slot per campaign
     max_respawns: int = 3
-    #: lane-parallel execution on the fused native kernel: step this many
-    #: inputs per native call (max 256; needs a C compiler).
-    #: The default of 1 keeps the scalar engine — byte-identical suites
-    #: with zero new dependencies; >1 trades per-input sequencing
-    #: granularity for throughput (suites may differ from the scalar
-    #: engine only in corpus-scheduling order, never in per-input
-    #: semantics).  ``"auto"`` means 64 lanes unless ``kernel="off"``.
-    #: A kernel that cannot be built leaves the campaign on scalar.
+    #: the batch width: inputs stepped per native kernel call (max 256).
+    #: It does not choose the engine (``kernel`` and the host do).  The
+    #: default of 1 absorbs each input before the next is mutated, so
+    #: the one-lane kernel and the scalar engine produce byte-identical
+    #: suites; >1 trades per-input sequencing granularity for throughput
+    #: (suites may differ only in corpus-scheduling order, never in
+    #: per-input semantics).  ``"auto"`` means 64 lanes unless
+    #: ``kernel="off"``, and 1 lane there.
     lanes: object = 1
-    #: native kernel backend policy: ``"auto"`` uses the fused C kernel
-    #: whenever lanes > 1, falling back to the scalar engine when it
-    #: cannot be built (one ``engine_fallback`` fault telemetry event,
-    #: never silent); ``"on"`` requests it even at ``lanes=1``
-    #: (bit-identical to scalar, used by the parity gates); ``"off"``
-    #: never builds it and runs scalar
+    #: native kernel backend policy: ``"auto"`` runs the fused C kernel
+    #: at every lane count when it can be built, falling back to the
+    #: scalar engine when it cannot (one ``engine_fallback`` fault
+    #: telemetry event, never silent); ``"on"`` is a synonym of
+    #: ``"auto"`` kept for stored job specs; ``"off"`` never builds it
+    #: and runs scalar
     kernel: str = "auto"
     #: kernel execution threads per worker: disjoint lane blocks run
     #: concurrently, each on its own C state struct (ctypes releases the
@@ -129,9 +131,12 @@ def check_config(config: FuzzerConfig) -> Tuple[int, bool]:
     """Validate the engine settings of ``config``; return ``(lanes,
     try_kernel)``, with ``lanes="auto"`` resolved.
 
-    ``kernel_threads`` is checked only when the kernel would be tried.
-    Does not load the kernel, so config errors raise even on
-    toolchain-less hosts, and the service rejects bad job specs early.
+    The kernel is tried unless ``kernel="off"``, at every lane count:
+    whether it then runs depends on the host (a C compiler) and the
+    model, not on ``lanes``.  ``kernel_threads`` is checked only when
+    the kernel would be tried.  Does not load the kernel, so config
+    errors raise even on toolchain-less hosts, and the service rejects
+    bad job specs early.
     """
     if config.level not in ("model", "code"):
         raise FuzzingError("fuzzer level must be 'model' or 'code'")
@@ -153,7 +158,7 @@ def check_config(config: FuzzerConfig) -> Tuple[int, bool]:
         raise FuzzingError(
             "config.lanes must be <= %d, got %r" % (MAX_KERNEL_LANES, lanes)
         )
-    try_kernel = kernel_mode == "on" or (kernel_mode == "auto" and lanes > 1)
+    try_kernel = kernel_mode != "off"
     kt = config.kernel_threads
     if try_kernel and not (
         kt in ("auto", None)
@@ -164,6 +169,25 @@ def check_config(config: FuzzerConfig) -> Tuple[int, bool]:
             "got %r" % (kt,)
         )
     return lanes, try_kernel
+
+
+def engine_key(config: FuzzerConfig) -> Tuple:
+    """What :class:`Fuzzer` fixes from ``config`` when it is built.
+
+    Two configs with equal keys build interchangeable fuzzers for one
+    model: everything else in the config is read per :meth:`Fuzzer.resume`
+    or :meth:`Fuzzer.finalize` call.  ``"on"`` and ``"auto"`` share a key,
+    and the thread count is the resolved one.
+    """
+    lanes, try_kernel = check_config(config)
+    threads = (
+        resolve_kernel_threads(
+            config.kernel_threads, workers=config.workers, lanes=lanes
+        )
+        if try_kernel
+        else 1
+    )
+    return config.level, lanes, try_kernel, threads, config.crash_dir
 
 
 @dataclass
@@ -186,7 +210,6 @@ class FuzzState:
     seeded: bool = False  # initial seed inputs already executed?
     rounds: int = 0  # completed resume slices
     timeouts: int = 0  # inputs aborted by the execution watchdog
-    corpus_adds: int = 0  # discovery rank counter for corpus_add events
     #: cumulative per-operator mutation counts (telemetry-enabled runs
     #: only; empty otherwise, so pickled payloads stay small)
     op_applied: Dict[str, int] = field(default_factory=dict)
@@ -212,6 +235,9 @@ class FuzzResult:
     #: inputs aborted by the execution watchdog (each recorded as a
     #: deduplicated timeout artifact in the fuzzer's crash store)
     timeouts: int = 0
+    #: the backend the fuzzing loop ran on, ``"kernel"`` or ``"scalar"``
+    #: (``""`` for a generator that runs no fuzzing loop)
+    engine: str = ""
 
     @property
     def execs_per_second(self) -> float:
@@ -243,36 +269,42 @@ class Fuzzer:
         if tel is NULL:
             tel = Telemetry(enabled=False)
         self.telemetry = tel
-        with telemetry_scope(tel):
-            self.compiled = compiled or compile_model(schedule, self.config.level)
-            if self.compiled.level != self.config.level:
-                raise FuzzingError(
-                    "compiled model level %r does not match config %r"
-                    % (self.compiled.level, self.config.level)
-                )
-            if not schedule.layout.fields:
-                raise FuzzingError(
-                    "model %r has no inports; nothing to fuzz"
-                    % (schedule.model.name,)
-                )
-            if replay_compiled is not None and replay_compiled.level != "model":
-                raise FuzzingError(
-                    "replay requires a model-level compiled program"
-                )
-            self._replay_compiled = replay_compiled
-            with tel.phase("compile"):
-                self.driver = compile_fuzz_driver(schedule)
+        if compiled is not None and compiled.level != self.config.level:
+            raise FuzzingError(
+                "compiled model level %r does not match config %r"
+                % (compiled.level, self.config.level)
+            )
+        if not schedule.layout.fields:
+            raise FuzzingError(
+                "model %r has no inports; nothing to fuzz"
+                % (schedule.model.name,)
+            )
+        if replay_compiled is not None and replay_compiled.level != "model":
+            raise FuzzingError(
+                "replay requires a model-level compiled program"
+            )
+        self._replay_compiled = replay_compiled
+        #: the generated module the engine runs: the kernel lowers it, the
+        #: scalar engine executes it.  A caller's artifact is used as given
+        self.compiled = compiled
         #: native kernel artifacts — populated by :meth:`_setup_kernel`
-        #: (scalar stays the authoritative path)
         self._kernel_compiled = None
         self._kernel_driver = None
         self._kernel_lanes = 1
         self._kernel_threads = 1
+        #: the scalar engine's generated fuzz driver (``None`` on the kernel)
+        self.driver = None
         #: which execution backend resume() will use: "scalar" or
         #: "kernel" — resolved once here, fallbacks included
         self.engine = "scalar"
         if try_kernel:
             self._setup_kernel(lanes)
+        if self.engine == "scalar":
+            with telemetry_scope(tel):
+                if self.compiled is None:
+                    self.compiled = compile_model(schedule, self.config.level)
+                with tel.phase("compile"):
+                    self.driver = compile_fuzz_driver(schedule)
         self.layout = schedule.layout
         #: timeout/crash artifacts found by this fuzzer (disk-backed when
         #: ``config.crash_dir`` is set, in-memory otherwise)
@@ -281,11 +313,15 @@ class Fuzzer:
     def _setup_kernel(self, lanes: int) -> None:
         """Build the fused native kernel and its fuzz driver.
 
-        Fallback ladder: kernel -> scalar.  A kernel that cannot be built
-        (no C compiler, build failure, un-loweable model) emits one
-        ``engine_fallback`` fault event and leaves the campaign on
-        scalar rather than failing it.  Only this branch imports the
-        kernel module.
+        The kernel lowers the caller's artifact as given; without one it
+        lowers the model generated with ``optimize=False``, since the
+        Python optimizer speeds up only the Python step, which this
+        engine never runs.  Fallback ladder: kernel -> scalar.  A kernel
+        that cannot be built (no C compiler, build failure, un-loweable
+        model) emits one ``engine_fallback`` fault event and leaves the
+        campaign on scalar rather than failing it; the scalar engine then
+        builds the optimized module and the Python driver it runs.  Only
+        this branch imports the kernel module.
         """
         from ..codegen import kernel as _kernel
 
@@ -295,7 +331,10 @@ class Fuzzer:
                     "no C compiler on PATH (set $CC or install gcc/clang)"
                 )
             with telemetry_scope(self.telemetry):
-                self._kernel_compiled = _kernel.compile_kernel(self.compiled)
+                compiled = self.compiled or compile_model(
+                    self.schedule, self.config.level, optimize=False
+                )
+                self._kernel_compiled = _kernel.compile_kernel(compiled)
                 with self.telemetry.phase("compile"):
                     self._kernel_driver = _kernel.compile_kernel_fuzz_driver(
                         self.schedule
@@ -303,6 +342,7 @@ class Fuzzer:
         except (_kernel.Unloweable, _kernel.KernelBuildError) as exc:
             self._engine_fault("kernel", "scalar", str(exc))
             return
+        self.compiled = compiled
         self._kernel_lanes = lanes
         self._kernel_threads = resolve_kernel_threads(
             self.config.kernel_threads, workers=self.config.workers, lanes=lanes
@@ -363,6 +403,18 @@ class Fuzzer:
 
         # a one-lane batch's handle is its one input
         return itemgetter(0), finish, None
+
+    def case_bitmaps(self, streams: List[bytes]) -> List[int]:
+        """Each stream's accumulated probe bitmap at the config's level,
+        run from the initial state on this fuzzer's engine under the
+        config's watchdog budget (a timed-out stream keeps its pre-abort
+        probes, as in :meth:`resume`)."""
+        start, finish, _ = self._executor()
+        WATCHDOG.configure(self.config.max_exec_steps)
+        try:
+            return [finish(start([data]), 0)[0][2] for data in streams]
+        finally:
+            WATCHDOG.disarm()
 
     def replay_compiled(self) -> CompiledModel:
         """The cached model-level artifact used for suite replay.
@@ -553,19 +605,19 @@ class Fuzzer:
                     applied[op] = applied.get(op, 0) + 1
                 ops_log.clear()
 
-        def observe(found_new, added, evicted, now, ops) -> None:
+        def observe(found_new, now) -> None:
             """Trace-side bookkeeping for one executed input (tel_on only).
 
-            Called for every *interesting* exec (new coverage, corpus
-            change) and otherwise at most once per :data:`_TICK_SECONDS`
-            — uninteresting execs between ticks pay only the gate check.
+            Called for every exec that gained coverage and otherwise at
+            most once per :data:`_TICK_SECONDS` — the other execs between
+            ticks pay only the gate check.
             """
             nonlocal last_new_t, plateau_reported, next_tick, next_gauge_t
             next_tick = now + _TICK_SECONDS
             flush_ops()
             if now >= next_gauge_t:
                 # gauge/status refresh is tick-bounded even though observe
-                # itself runs for every interesting exec — the live view
+                # itself runs for every coverage gain — the live view
                 # never costs more than ~10 refreshes/s
                 next_gauge_t = now + _TICK_SECONDS
                 flush_kspans()
@@ -616,26 +668,6 @@ class Fuzzer:
                     execs=state.inputs_executed,
                     covered=popcount(state.total_int),
                     bits="%x" % state.total_int,
-                )
-            if added:
-                state.corpus_adds += 1
-                if ops:
-                    wins = state.op_wins
-                    for op in ops:
-                        wins[op] = wins.get(op, 0) + 1
-                tel.emit(
-                    "corpus_add",
-                    t=round(now, 6),
-                    rank=state.corpus_adds,
-                    reason="new_cov" if found_new else "idc",
-                    size=len(corpus),
-                )
-            if evicted is not None:
-                tel.emit(
-                    "corpus_evict",
-                    t=round(now, 6),
-                    reason="new_cov" if evicted.found_new else "idc",
-                    size=len(corpus),
                 )
             if not found_new and not plateau_reported:
                 idle = now - last_new_t
@@ -700,7 +732,6 @@ class Fuzzer:
             state.iterations_executed += iters
             now = offset + time.perf_counter() - start
             added = False
-            evicted = None
             entry = None
             if found_new:
                 suite.add(TestCase(data, now))
@@ -715,17 +746,17 @@ class Fuzzer:
                 if density > parent_density:
                     entry = CorpusEntry(data, metric, False, now, iterations=iters)
             if entry is not None:
-                displaced = corpus.add(entry)
-                if displaced is not entry:
-                    added = True
-                    evicted = displaced
-                # else: rejected up front — weaker than every resident, so
-                # no corpus_add/corpus_evict pair and no rank consumed
+                # a rejected entry (weaker than every resident) comes back
+                added = corpus.add(entry) is not entry
             if tel_on:
                 if ops:
                     ops_log.extend(ops)
-                if found_new or added or evicted is not None or now >= next_tick:
-                    observe(found_new, added, evicted, now, ops)
+                    if added:
+                        wins = state.op_wins
+                        for op in ops:
+                            wins[op] = wins.get(op, 0) + 1
+                if found_new or now >= next_tick:
+                    observe(found_new, now)
 
         # the one execution loop, for every engine: inputs queue until
         # ``lanes`` are pending (or a flush), then the batch is started
@@ -952,6 +983,7 @@ class Fuzzer:
             timeline=state.timeline,
             phase_times=dict(tel.phase_times),
             timeouts=state.timeouts,
+            engine=self.engine,
         )
 
     def run(self) -> FuzzResult:

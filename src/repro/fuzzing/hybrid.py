@@ -84,6 +84,7 @@ class HybridFuzzer:
         timeline: List = []
         inputs_executed = 0
         iterations_executed = 0
+        engine = ""
         start = time.perf_counter()
         deadline = start + config.max_seconds
         if tel.enabled:
@@ -125,6 +126,7 @@ class HybridFuzzer:
                 suite.add(TestCase(case.data, case.found_at + offset, "hybrid"))
             inputs_executed += result.inputs_executed
             iterations_executed += result.iterations_executed
+            engine = result.engine
             round_index += 1
 
             with tel.phase("replay"):
@@ -203,4 +205,5 @@ class HybridFuzzer:
             elapsed=elapsed,
             timeline=timeline,
             phase_times=dict(tel.phase_times),
+            engine=engine,
         )

@@ -42,9 +42,11 @@ remaining workers; when every slot is gone the campaign raises
 ``workers=1`` bypasses multiprocessing entirely and is byte-identical to
 the classic single-process engine for a fixed seed.  Worker payloads and
 states are plain picklable values, so both ``fork`` and ``spawn`` start
-methods work (``spawn`` re-imports this module and re-compiles the model
-per process on its first payload — a warm read of the persistent compile
-cache, so per-worker startup no longer pays the codegen cost).
+methods work.  The parent builds the workers' engine (the kernel, or the
+scalar module and driver) once before spawning them, so each worker's
+first payload loads it from the compile cache: inherited memory under
+``fork``, the persistent disk cache under ``spawn``, which re-imports
+this module.
 """
 
 from __future__ import annotations
@@ -468,6 +470,7 @@ def merge_seed_pool(
     schedule: Schedule,
     candidates: List[bytes],
     compiled: Optional[CompiledModel] = None,
+    bitmaps=None,
 ) -> List[bytes]:
     """Coverage-gated merge of worker corpora into a compact seed pool.
 
@@ -475,15 +478,23 @@ def merge_seed_pool(
     streams: the result covers the union of everything the candidates
     cover, preferring shorter inputs on equal gain — LibFuzzer's
     ``-merge=1`` for model probes — cut to the first
-    ``_MERGE_POOL_SIZE``.
+    ``_MERGE_POOL_SIZE``.  ``bitmaps(streams)`` gives each stream's
+    model-probe bitmap (a campaign passes its engine's
+    :meth:`~repro.fuzzing.engine.Fuzzer.case_bitmaps`); without it the
+    streams run on ``compiled``'s Python step.
     """
-    compiled = compiled or compile_model(schedule, "model")
-    recorder = CoverageRecorder(schedule.branch_db)
-    program, _ = compiled.instantiate(recorder)
-    layout = schedule.layout
     unique = sorted(set(candidates), key=lambda d: (len(d), d))
-    items = [(data, case_bitmap(program, recorder, layout, data)) for data in unique]
-    kept = greedy_cover(items, prefer=lambda a, b: (len(a), a) < (len(b), b))
+    if bitmaps is None:
+        compiled = compiled or compile_model(schedule, "model")
+        recorder = CoverageRecorder(schedule.branch_db)
+        program, _ = compiled.instantiate(recorder)
+        layout = schedule.layout
+        bits = [case_bitmap(program, recorder, layout, data) for data in unique]
+    else:
+        bits = bitmaps(unique)
+    kept = greedy_cover(
+        list(zip(unique, bits)), prefer=lambda a, b: (len(a), a) < (len(b), b)
+    )
     return kept[:_MERGE_POOL_SIZE]
 
 
@@ -585,6 +596,27 @@ class ParallelFuzzer:
         # by more than the configured grace period
         grace = epoch_seconds + max(config.worker_timeout, 2 * _POLL_SECONDS)
         base_config = resolved_config(config, workers)
+        # build the workers' engine once, here, under the campaign's
+        # telemetry (its phases, spans and any engine_fallback land in
+        # this trace): the workers then load it from the compile cache,
+        # inherited memory under fork and disk under spawn, instead of
+        # each building it inside its first slice; after a fallback here
+        # they skip the kernel too.  At model level it also scores the
+        # merge's candidates on that engine.  A model the engine rejects
+        # is left to the workers, whose supervision charges and names
+        # the error
+        try:
+            builder = Fuzzer(self.schedule, base_config, telemetry=tel)
+        except FuzzingError:
+            builder = None
+        engine = builder.engine if builder is not None else ""
+        if engine == "scalar":
+            base_config = replace(base_config, kernel="off")
+        bitmaps = (
+            builder.case_bitmaps
+            if builder is not None and config.level == "model"
+            else None
+        )
         states: List[Optional[FuzzState]] = [None] * workers
         merged_seeds: List[bytes] = []
         start = time.perf_counter()
@@ -737,7 +769,10 @@ class ParallelFuzzer:
                         candidates.extend(c.data for c in state.suite)
                     with tel.phase("merge"):
                         merged_seeds = merge_seed_pool(
-                            self.schedule, candidates, compiled=compiled
+                            self.schedule,
+                            candidates,
+                            compiled=compiled,
+                            bitmaps=bitmaps,
                         )
         finally:
             pool.shutdown()
@@ -820,6 +855,7 @@ class ParallelFuzzer:
             timeline=timeline,
             phase_times=dict(tel.phase_times),
             timeouts=timeouts,
+            engine=engine,
         )
 
 

@@ -97,6 +97,9 @@ class JobRunner:
         self.cancel_requested = False
         self.full = False
         self.telemetry: Optional[Telemetry] = None
+        #: ``time.monotonic()`` before which a job whose dispatch failed
+        #: stays queued (its retry backoff)
+        self.retry_at = 0.0
 
     def push_events(self, events) -> None:
         self.ring.extend(events)
@@ -289,9 +292,9 @@ class ServiceDaemon:
                 )
             runner.cancel_requested = True
             if state == "queued":
-                # absent only when a dispatch popped it and then raised
-                if job_id in self.queue:
-                    self.queue.remove(job_id)
+                # a failed dispatch puts its job back, so a queued job is
+                # always in the queue
+                self.queue.remove(job_id)
                 self._finish_locked(runner, "cancelled")
                 return "cancelled"
         return "cancelling"
@@ -346,15 +349,22 @@ class ServiceDaemon:
                 self._finish_locked(runner, "cancelled")
 
     def _dispatch(self) -> None:
-        """Pop queued jobs onto free slots until either runs out."""
+        """Pop queued jobs onto free slots until either runs out; a job
+        waiting out a dispatch backoff keeps its place in the queue."""
         pool = self.pool
         for slot in range(pool.size):
             if slot in pool.payloads:
                 continue
             payload = None
             with self.lock:
-                while payload is None and self.queue:
-                    payload = self.next_payload(self.queue.popleft(), slot)
+                while payload is None:
+                    job_id = self._pop_due()
+                    if job_id is None:
+                        break
+                    try:
+                        payload = self.next_payload(job_id, slot)
+                    except Exception as exc:  # noqa: BLE001 - one job's fault
+                        self._dispatch_failed(job_id, slot, exc)
             if payload is None:
                 return
             # hang deadline: the slice's wall budget left (a finalize
@@ -363,14 +373,14 @@ class ServiceDaemon:
             grace = budget + max(payload["config"].worker_timeout, 5.0)
             pool.dispatch(slot, payload, grace)
 
-    def _slice_failed(self, slot: int, reason: str) -> None:
-        """A slice failed: charge it to its job's ``failures`` budget
-        (``config.max_respawns`` failures are allowed), then retry it
-        after a backoff, or fail that job alone and keep the slot
-        healthy for the other jobs."""
-        pool = self.pool
-        payload = pool.payloads[slot]
-        job_id, epoch = payload["job"], payload["epoch"]
+    def _charge_failure(
+        self, job_id: str, slot: int, epoch: int, kind: str, reason: str
+    ) -> int:
+        """Charge one failure to a job's ``failures`` budget
+        (``config.max_respawns`` failures are allowed) and emit a
+        ``fault`` of ``kind``; once the budget is spent, emit
+        ``job_degraded`` and fail that job alone.  Returns the attempt
+        number, or 0 when the job failed."""
         with self.lock:
             runner = self.jobs[job_id]
             record = runner.record
@@ -378,31 +388,69 @@ class ServiceDaemon:
             self._emit(
                 runner,
                 "fault",
-                kind="worker_failure",
+                kind=kind,
                 job=job_id,
                 worker=slot,
                 epoch=epoch,
                 error=reason,
             )
-            spent = attempt > runner.config.max_respawns
-            if spent:
-                self._emit(
-                    runner,
-                    "fault",
-                    kind="job_degraded",
-                    job=job_id,
-                    worker=slot,
-                    epoch=epoch,
-                    error=reason,
-                )
-                record["error"] = "respawn budget (%d) exhausted: %s" % (
-                    runner.config.max_respawns,
-                    reason,
-                )
-                self._finish_locked(runner, "failed")
-            else:
+            if attempt <= runner.config.max_respawns:
                 self.store.save_job(record)
-        if spent:
+                return attempt
+            self._emit(
+                runner,
+                "fault",
+                kind="job_degraded",
+                job=job_id,
+                worker=slot,
+                epoch=epoch,
+                error=reason,
+            )
+            record["error"] = "respawn budget (%d) exhausted: %s" % (
+                runner.config.max_respawns,
+                reason,
+            )
+            self._finish_locked(runner, "failed")
+            return 0
+
+    def _pop_due(self) -> Optional[str]:
+        """Pop the first queued job not waiting out a dispatch backoff
+        (caller holds the lock)."""
+        now = time.monotonic()
+        for job_id in self.queue:
+            if self.jobs[job_id].retry_at <= now:
+                self.queue.remove(job_id)
+                return job_id
+        return None
+
+    def _dispatch_failed(self, job_id: str, slot: int, exc: Exception) -> None:
+        """Building a job's dispatch raised (say, an ``OSError`` from the
+        store): a failure of that job, charged like a failed slice.  The
+        job goes back to the head of the queue and waits out the backoff
+        a failed slice would, unless its budget is spent.  It is queued
+        before the charge, whose own store write may fail too (caller
+        holds the lock)."""
+        reason = "dispatch failed: %s: %s" % (type(exc).__name__, exc)
+        runner = self.jobs[job_id]
+        attempt = runner.record.get("failures", 0) + 1
+        runner.retry_at = time.monotonic() + backoff_seconds(attempt)
+        self.queue.appendleft(job_id)
+        if not self._charge_failure(
+            job_id, slot, runner.record["rounds"], "scheduler_error", reason
+        ):
+            self.queue.remove(job_id)
+
+    def _slice_failed(self, slot: int, reason: str) -> None:
+        """A slice failed: charge it to its job's budget, then retry it
+        after a backoff, or (budget spent) keep the slot healthy for the
+        other jobs."""
+        pool = self.pool
+        payload = pool.payloads[slot]
+        job_id, epoch = payload["job"], payload["epoch"]
+        attempt = self._charge_failure(
+            job_id, slot, epoch, "worker_failure", reason
+        )
+        if not attempt:
             pool.release(slot)
             if not pool.alive(slot):
                 pool.spawn(slot)

@@ -31,7 +31,7 @@ from typing import Dict
 from ..bench.registry import build_schedule, model_names
 from ..bits import popcount
 from ..errors import FuzzingError, JobSpecError
-from ..fuzzing.engine import Fuzzer, FuzzerConfig, check_config
+from ..fuzzing.engine import Fuzzer, FuzzerConfig, check_config, engine_key
 from ..fuzzing.parallel import (  # noqa: F401 - resolved_config re-exported
     payload_telemetry,
     resolved_config,
@@ -99,21 +99,24 @@ def build_job_config(overrides) -> FuzzerConfig:
 # ---------------------------------------------------------------------- #
 # the worker side (runs in pool processes; must stay spawn-picklable)
 # ---------------------------------------------------------------------- #
-def _run_job_payload(fuzzers: Dict[str, Fuzzer], payload: Dict) -> Dict:
+def _run_job_payload(fuzzers: Dict[tuple, Fuzzer], payload: Dict) -> Dict:
     """Run one job slice (or the finalize replay) in a pool worker.
 
-    ``fuzzers`` caches one :class:`Fuzzer` per model spec, so jobs over
-    the same model share the compiled artifact within a worker process;
-    the per-job config and state travel inside the payload, keeping the
-    worker stateless between dispatches.  The slice trace lands in the
-    job's ``trace.part``, which the daemon absorbs into the job's trace
-    after the result arrives.
+    ``fuzzers`` caches one :class:`Fuzzer` per model and
+    :func:`~repro.fuzzing.engine.engine_key`, so jobs over the same model
+    and engine share the built artifacts within a worker process, and a
+    job never runs on an engine another job's config chose; the rest of
+    the per-job config and the state travel inside the payload, keeping
+    the worker stateless between dispatches.  The slice trace lands in
+    the job's ``trace.part``, which the daemon absorbs into the job's
+    trace after the result arrives.
     """
-    model = payload["model"]
-    fuzzer = fuzzers.get(model)
+    model, config = payload["model"], payload["config"]
+    key = (model,) + engine_key(config)
+    fuzzer = fuzzers.get(key)
     if fuzzer is None:
-        fuzzer = Fuzzer(load_model_schedule(model), payload["config"])
-        fuzzers[model] = fuzzer
+        fuzzer = Fuzzer(load_model_schedule(model), config)
+        fuzzers[key] = fuzzer
     job = payload["job"]
     n_probes = fuzzer.schedule.branch_db.n_probes
     if payload["action"] == "slice":
@@ -160,8 +163,9 @@ def _run_job_payload(fuzzers: Dict[str, Fuzzer], payload: Dict) -> Dict:
 def _service_worker_main(slot: int, gen: int, task_q, result_q) -> None:
     """Entry point of one shared service-pool worker process: the shared
     :func:`~repro.fuzzing.parallel.worker_loop` over
-    :func:`_run_job_payload`, with one :class:`Fuzzer` per model."""
-    fuzzers: Dict[str, Fuzzer] = {}
+    :func:`_run_job_payload`, with one :class:`Fuzzer` per model and
+    engine."""
+    fuzzers: Dict[tuple, Fuzzer] = {}
     worker_loop(
         slot,
         gen,

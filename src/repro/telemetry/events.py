@@ -17,6 +17,13 @@ report renderer (:mod:`repro.telemetry.report`), the CI artifact, and
 future adaptive-scheduling / distributed-campaign work.  Add fields
 freely; never repurpose an existing one.
 
+Schema change: the per-admission ``corpus_add`` and ``corpus_evict``
+events are gone (no consumer read them, and they were most of a
+campaign's events).  ``slice_end`` carries the corpus size and
+``mutation_stats`` the per-operator admission counts (``wins``); a
+strict read of an older trace that holds them now fails on the
+unknown event type.
+
 ==================  =====================================================
 event               required fields (beyond ``ev``/``ts``)
 ==================  =====================================================
@@ -25,8 +32,6 @@ seed_phase          t, execs — the initial seed inputs finished executing
 cov                 t, execs, covered, bits — new-coverage delta; ``bits``
                     is the hex total probe bitmap, so worker curves can
                     be unioned without re-executing anything
-corpus_add          t, rank, reason ("new_cov" | "idc"), size
-corpus_evict        t, reason, size
 plateau             t, execs, covered, idle_s — no new coverage lately
 slice_end           t, execs, iterations, corpus, covered
 mutation_stats      applied, wins — cumulative per-operator dicts
@@ -73,8 +78,6 @@ EVENT_TYPES: Dict[str, tuple] = {
     "campaign_start": ("model", "seed", "workers", "n_probes"),
     "seed_phase": ("t", "execs"),
     "cov": ("t", "execs", "covered", "bits"),
-    "corpus_add": ("t", "rank", "reason", "size"),
-    "corpus_evict": ("t", "reason", "size"),
     "plateau": ("t", "execs", "covered", "idle_s"),
     "slice_end": ("t", "execs", "iterations", "corpus", "covered"),
     "mutation_stats": ("applied", "wins"),

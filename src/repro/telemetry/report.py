@@ -56,7 +56,8 @@ def final_summary(events: Sequence[Dict]) -> Optional[Dict]:
 
 
 def mutation_table(events: Sequence[Dict]) -> List[Tuple[str, int, int, float]]:
-    """Per-operator ``(name, applied, corpus_adds, win_rate)`` rows.
+    """Per-operator ``(name, applied, wins, win_rate)`` rows: ``wins``
+    counts the corpus admissions the operator's mutations produced.
 
     ``mutation_stats`` counters are cumulative per worker, so only the
     last event of each worker contributes; workers sum.

@@ -28,7 +28,7 @@ from repro.fuzzing import Fuzzer, FuzzerConfig
 from repro.fuzzing.parallel import ParallelFuzzer
 from repro.telemetry import Telemetry, read_trace
 
-from conftest import demo_model, no_inport_model
+from conftest import demo_model, no_inport_model, skip_if_no_cc
 
 import repro.faults.plan as plan_mod
 
@@ -222,6 +222,11 @@ class TestCrashStore:
 # engine: hung generated code becomes a timeout artifact
 # -------------------------------------------------------------------- #
 class TestEngineWatchdog:
+    """The scalar engine's timeout path (``kernel="off"``, as on a host
+    without a C compiler or after an ``engine_fallback``): the generated
+    Python step arms ``WATCHDOG``, raises ``WatchdogTimeout``, and the
+    artifacts dedupe by stack hash."""
+
     def test_hung_inputs_become_deduped_timeout_artifacts(self, tmp_path):
         crash_dir = str(tmp_path / "crashes")
         schedule = convert(hang_model())
@@ -231,8 +236,11 @@ class TestEngineWatchdog:
             seed=3,
             max_exec_steps=200,
             crash_dir=crash_dir,
+            kernel="off",
         )
-        result = Fuzzer(schedule, config).run()
+        fuzzer = Fuzzer(schedule, config)
+        assert fuzzer.engine == "scalar"
+        result = fuzzer.run()
         # the fuzzer trips the infinite loop many times; every hit hangs
         # in the same while body, so they dedup to ONE artifact
         assert result.timeouts > 1
@@ -254,6 +262,7 @@ class TestEngineWatchdog:
                 seed=9,
                 max_exec_steps=100,
                 crash_dir=str(tmp_path / subdir),
+                kernel="off",
             )
             return Fuzzer(schedule, config).run()
 
@@ -267,10 +276,53 @@ class TestEngineWatchdog:
     def test_watchdog_disarmed_after_campaign(self):
         schedule = convert(hang_model())
         config = FuzzerConfig(
-            max_seconds=600.0, max_inputs=50, seed=1, max_exec_steps=100
+            max_seconds=600.0,
+            max_inputs=50,
+            seed=1,
+            max_exec_steps=100,
+            kernel="off",
         )
         Fuzzer(schedule, config).run()
         assert WATCHDOG.remaining is None  # no armed budget leaks out
+
+
+@skip_if_no_cc
+class TestKernelWatchdog:
+    """The default engine's timeout path: the one-lane kernel aborts a
+    hung input in C, with no Python traceback to hash, so all of a
+    model's timeouts share one artifact (architecture §11)."""
+
+    def test_kernel_timeouts_match_scalar_and_share_one_artifact(
+        self, tmp_path
+    ):
+        schedule = convert(hang_model())
+
+        def run(subdir, **overrides):
+            crash_dir = str(tmp_path / subdir)
+            config = FuzzerConfig(
+                max_seconds=600.0,
+                max_inputs=400,
+                seed=3,
+                max_exec_steps=200,
+                crash_dir=crash_dir,
+                **overrides
+            )
+            fuzzer = Fuzzer(schedule, config)
+            return fuzzer.engine, fuzzer.run(), CrashStore.load(crash_dir)
+
+        engine, result, store = run("kernel")
+        assert engine == "kernel"
+        _, scalar, _ = run("scalar", kernel="off")
+        # the one-lane kernel times out on exactly the scalar engine's
+        # inputs, so the suites and the timeout budget agree
+        assert result.timeouts == scalar.timeouts > 1
+        assert result.suite.digest() == scalar.suite.digest()
+        assert result.inputs_executed == 400
+        (artifact,) = store.artifacts.values()
+        assert artifact.kind == "timeout"
+        assert artifact.count == result.timeouts
+        assert artifact.data
+        assert WATCHDOG.remaining is None
 
 
 # -------------------------------------------------------------------- #

@@ -30,6 +30,7 @@ import pytest
 
 import repro.codegen.compile as compile_mod
 import repro.codegen.kernel as kernel_mod
+import repro.fuzzing.engine as engine_mod
 from conftest import demo_model, skip_if_no_cc
 from repro import CoverageRecorder, ModelBuilder, compile_model, convert
 from repro.bench.registry import build_schedule, model_names
@@ -167,31 +168,43 @@ class TestKernelParity:
     def test_kernel_source_is_cached_and_reloaded(
         self, schedule, tmp_path, monkeypatch
     ):
-        """A kernel Fuzzer built from an empty cache generates and
-        optimizes its model once: the kernel lowers the artifact
-        ``compile_model`` built.  The kernel then reloads from the disk
-        tier, then from memory, without generating again."""
-        calls = {"generate_model_code": 0, "optimize_module": 0}
+        """A kernel Fuzzer built from an empty cache generates its model
+        once, never runs the Python optimizer and never builds the
+        Python fuzz driver: it builds only what the kernel runs.  The
+        kernel then reloads from the disk tier, then from memory,
+        without generating again."""
+        calls = {
+            "generate_model_code": 0,
+            "optimize_module": 0,
+            "compile_fuzz_driver": 0,
+        }
         for name in calls:
-            real = getattr(compile_mod, name)
+            module = engine_mod if name == "compile_fuzz_driver" else compile_mod
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kw):
                 calls[_name] += 1
                 return _real(*args, **kw)
 
-            monkeypatch.setattr(compile_mod, name, counted)
+            monkeypatch.setattr(module, name, counted)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         kernel_mod.clear_kernel_memory()
-        fz = Fuzzer(schedule, FuzzerConfig(lanes=4, kernel="on"))
+        fz = Fuzzer(schedule, FuzzerConfig(lanes=4))
         assert fz.engine == "kernel"
         assert fz._kernel_compiled.from_cache is None
-        assert calls == {"generate_model_code": 1, "optimize_module": 1}
+        assert fz.compiled.optimized is False
+        want = {
+            "generate_model_code": 1,
+            "optimize_module": 0,
+            "compile_fuzz_driver": 0,
+        }
+        assert calls == want
         kernel_mod.clear_kernel_memory()
         warm = compile_kernel(fz.compiled)
         assert warm.from_cache == "disk"
         hot = compile_kernel(fz.compiled)
         assert hot.from_cache == "memory"
-        assert calls == {"generate_model_code": 1, "optimize_module": 1}
+        assert calls == want
 
     def test_kernel_lowers_the_artifact_it_is_given(self, schedule):
         """An unoptimized artifact runs an unoptimized kernel: the C is
@@ -388,18 +401,20 @@ class TestDegradationLadder:
         self, schedule, tmp_path, monkeypatch, cause
     ):
         """lanes=4 with a kernel that cannot be built lands on scalar
-        with exactly one fault event — and the exact suite a plain
-        lanes=1 campaign produces."""
+        with exactly one fault event, runs the optimized module, and
+        produces the exact suite of a one-lane ``kernel="off"``
+        campaign."""
         reason = cause(monkeypatch)
         fk, st_k, events = run_config(schedule, tmp_path, "down", lanes=4)
         assert fk.engine == "scalar"
+        assert fk.compiled.optimized is True
         falls = fallback_events(events)
         assert len(falls) == 1
         assert falls[0]["engine_from"] == "kernel"
         assert falls[0]["engine_to"] == "scalar"
         assert reason in falls[0]["reason"]
         monkeypatch.undo()
-        fs, st_s, _ = run_config(schedule, tmp_path, "plain", lanes=1)
+        fs, st_s, _ = run_config(schedule, tmp_path, "plain", kernel="off")
         assert fs.engine == "scalar"
         assert st_k.inputs_executed == st_s.inputs_executed == 300
         assert st_k.suite.digest() == st_s.suite.digest()
@@ -429,6 +444,7 @@ class TestDegradationLadder:
             schedule, tmp_path, "off", lanes=4, kernel="off"
         )
         assert fb.engine == "scalar"
+        assert fb.compiled.optimized is True
         assert not fallback_events(events)
 
     def test_lanes_auto_resolves_to_an_engine(self, schedule, tmp_path):
@@ -450,6 +466,28 @@ class TestDegradationLadder:
             Fuzzer(schedule, FuzzerConfig(kernel="maybe"))
         with pytest.raises(FuzzingError):
             Fuzzer(schedule, FuzzerConfig(lanes=MAX_KERNEL_LANES + 1))
+
+
+@skip_if_no_cc
+class TestEngineRule:
+    """The engine is a property of the host: every config except
+    ``kernel="off"`` runs the kernel where one can be built, at any lane
+    count, and each engine builds only what it runs."""
+
+    # "on" is kept as a synonym: stored job specs and benchmark configs
+    # still say it
+    @pytest.mark.parametrize("kernel", ["auto", "on"])
+    def test_one_lane_fuzzer_runs_the_kernel(
+        self, schedule, monkeypatch, kernel
+    ):
+        built = []
+        monkeypatch.setattr(engine_mod, "compile_fuzz_driver", built.append)
+        fz = Fuzzer(schedule, FuzzerConfig(kernel=kernel))
+        assert fz.engine == "kernel"
+        assert fz._kernel_lanes == 1
+        assert fz.compiled.optimized is False
+        assert fz.driver is None
+        assert built == []
 
 
 _NO_NUMPY_SCRIPT = r"""
@@ -483,9 +521,7 @@ print(json.dumps({
 
 
 class TestWithoutNumpy:
-    @pytest.mark.parametrize(
-        "config", ["kernel='off'", ""], ids=["kernel_off", "default"]
-    )
+    @pytest.mark.parametrize("config", ["kernel='off'"], ids=["kernel_off"])
     def test_scalar_fuzzer_leaves_the_kernel_unloaded(self, config):
         """Only a Fuzzer that tries the kernel imports it; the lane
         ceiling is still enforced without it."""

@@ -193,6 +193,31 @@ class TestMergeSeedPool:
         assert covered == union
         assert len(merged) <= len(set(candidates))
 
+    @pytest.mark.parametrize("kernel", ["off", "auto"])
+    def test_engine_bitmaps_match_the_python_step(self, schedule, kernel):
+        """``Fuzzer.case_bitmaps`` (how a model-level campaign scores its
+        merge candidates) equals ``case_bitmap`` on the Python step on
+        either engine, so the merged pool does not depend on the engine."""
+        from repro.codegen.compile import compile_model
+        from repro.coverage.recorder import CoverageRecorder
+        from repro.fuzzing.minimize import case_bitmap
+
+        result = Fuzzer(
+            schedule, FuzzerConfig(max_seconds=600.0, max_inputs=150, seed=3)
+        ).run()
+        candidates = [c.data for c in result.suite] + [b"", b"\x01" * 37]
+        recorder = CoverageRecorder(schedule.branch_db)
+        program, _ = compile_model(schedule, "model").instantiate(recorder)
+        expected = [
+            case_bitmap(program, recorder, schedule.layout, data)
+            for data in candidates
+        ]
+        fuzzer = Fuzzer(schedule, FuzzerConfig(kernel=kernel))
+        assert fuzzer.case_bitmaps(candidates) == expected
+        assert merge_seed_pool(
+            schedule, candidates, bitmaps=fuzzer.case_bitmaps
+        ) == merge_seed_pool(schedule, candidates)
+
     def test_merge_is_deterministic(self, schedule):
         result = Fuzzer(
             schedule, FuzzerConfig(max_seconds=600.0, max_inputs=150, seed=1)

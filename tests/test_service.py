@@ -26,6 +26,7 @@ The fault soak (worker deaths under concurrency) is ``-m slow``.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -42,7 +43,7 @@ from repro import convert, model_from_xml, model_to_xml, save_container
 from repro.errors import JobNotFound
 from repro.faults.plan import fault_scope, parse_faults
 from repro.fuzzing import FuzzerConfig
-from repro.fuzzing.parallel import run_campaign
+from repro.fuzzing.parallel import backoff_seconds, run_campaign
 from repro.service import JobStore, ServiceDaemon
 from repro.slx import load_container
 from repro.telemetry.metrics import parse_exposition
@@ -513,24 +514,67 @@ class TestHungSlice:
 
 
 # -------------------------------------------------------------------- #
-# the per-model Fuzzer cache of a service worker (known defect)
+# a dispatch that raises is a failure of its job, not a stranded job
+# -------------------------------------------------------------------- #
+class TestFailedDispatch:
+    def test_store_error_at_dispatch_is_charged_and_retried(
+        self, tmp_path
+    ):
+        """``discard_part`` raises ENOSPC twice while the 1-slot daemon
+        builds the job's first dispatch: each time the job goes back to
+        the head of the queue with one more failure charged and waits
+        out the slice backoff, and it ends done with its standalone
+        digest."""
+        model = demo_slxz(tmp_path)
+        config = dict(GOLDEN, seed=7)
+        svc = ServiceDaemon(str(tmp_path / "store"), pool_size=1)
+        discard_part = svc.store.discard_part
+        raised = []
+        calls = []
+
+        def full_disk_twice(job_id):
+            calls.append(time.monotonic())
+            if len(raised) < 2:
+                raised.append(job_id)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            discard_part(job_id)
+
+        svc.store.discard_part = full_disk_twice
+        svc.start()
+        try:
+            client = Client(svc.api.url)
+            _, body = client.post("/jobs", {"model": model, "config": config})
+            frame = client.wait(body["id"])
+            _, result = client.get("/jobs/%s/results" % body["id"])
+        finally:
+            svc.stop()
+        assert raised == [body["id"]] * 2
+        assert frame["state"] == "done", frame
+        assert frame["failures"] == 2
+        assert frame["respawns"] == 0
+        assert calls[1] - calls[0] >= backoff_seconds(1)
+        assert calls[2] - calls[1] >= backoff_seconds(2)
+        assert result["digest"] == standalone_digest(model, **config)
+
+
+# -------------------------------------------------------------------- #
+# the service worker caches one Fuzzer per model and engine
 # -------------------------------------------------------------------- #
 class TestPerModelFuzzerCache:
     @skip_if_no_cc
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a service worker caches one Fuzzer per model, built with "
-        "the first job's engine settings (ROADMAP item 2)",
-    )
     def test_scalar_then_kernel_job_each_match_standalone(self, tmp_path):
+        """Three jobs on one model through one worker: scalar, the
+        default one-lane kernel, and a 4-lane kernel.  Each runs on its
+        own engine, not on the one the model's first job chose."""
         model = demo_slxz(tmp_path)
+        scalar = {"kernel": "off"}
         kernel = {"lanes": 4, "kernel": "on", "kernel_threads": 1}
         svc = ServiceDaemon(str(tmp_path / "store"), pool_size=1)
         svc.start()
         try:
             client = Client(svc.api.url)
             digests = []
-            for overrides in ({}, kernel):
+            for overrides in (scalar, {}, kernel):
                 _, body = client.post(
                     "/jobs",
                     {"model": model, "config": dict(GOLDEN, seed=7, **overrides)},
@@ -541,6 +585,7 @@ class TestPerModelFuzzerCache:
         finally:
             svc.stop()
         assert digests == [
+            standalone_digest(model, seed=7, **scalar),
             standalone_digest(model, seed=7),
             standalone_digest(model, seed=7, **kernel),
         ]
